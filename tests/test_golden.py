@@ -1,0 +1,75 @@
+"""Golden output digests: the sha256 of every file a run writes.
+
+Covers the built-in scenarios, the three figures and the static mechanism
+matrix (every reward mechanism under every network model and behaviour
+mix). A refactor that shifts the RNG stream, the event order or an output
+format changes a digest here. Regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+only when an output is meant to change, and say why in CHANGES.md.
+"""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fairsim.cli import main as cli_main
+from fairsim.core import RewardMechanismId
+from fairsim.scenarios import BUILTIN, static_matrix
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
+FIGURES = ("selection-highest", "selection-lowest", "ev-sync-rewards")
+
+
+def _runs() -> dict:
+    """Run name -> CLI arguments (without --out), or a scenario document."""
+    runs = {f"builtin/{name}": ["run", "--builtin", name] for name in BUILTIN}
+    runs.update({f"figure/{name}": ["figure", name] for name in FIGURES})
+    for mech in RewardMechanismId:
+        for doc in static_matrix(mech.value):
+            runs[f"static/{doc['name']}"] = doc
+    return runs
+
+
+RUNS = _runs()
+
+
+def digests(name: str, work: Path) -> dict:
+    """Run ``name`` into a fresh directory under ``work``; file -> sha256."""
+    spec = RUNS[name]
+    out = work / name.replace("/", "__")
+    if isinstance(spec, dict):
+        path = work / (out.name + ".json")
+        path.write_text(json.dumps(spec))
+        spec = ["run", "--scenario", str(path)]
+    assert cli_main(spec + ["--out", str(out)]) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
+
+def test_golden_covers_every_run():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_golden_digests(name, tmp_path, capsys):
+    got = digests(name, tmp_path)
+    capsys.readouterr()  # keep the CLI's progress lines out of the -rP report
+    assert got == json.loads(GOLDEN.read_text())[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as work:
+        pinned = {name: digests(name, Path(work)) for name in sorted(RUNS)}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(pinned)} runs to {GOLDEN}")
