@@ -10,21 +10,21 @@ Errors are reported as one JSON object on stderr and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
+from .consensus import QuorumImpossible
 from .harness import (
     ScenarioError,
     _atomic_write,
-    load_scenario,
+    _write_csv,
     parse_scenario,
     regrade_output_dir,
     run_scenario,
+    write_selection_csv,
 )
-from .core import SelectionMechanismId
+from .core import SelectionMechanismId, uniform_merits
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment
 
@@ -85,14 +85,7 @@ def _cmd_figure(args) -> int:
         mech, population, n, heights = _SELECTION_FIGURES[args.name]
         stats = run_selection_experiment(population, n, mech, heights)
         os.makedirs(args.out, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["process_id", "count", "v_i", "alpha_i"])
-        for pid in range(population):
-            writer.writerow(
-                [pid, stats.counts[pid], repr(stats.counts[pid] / heights), repr(1 / population)]
-            )
-        _atomic_write(os.path.join(args.out, "selection.csv"), buf.getvalue())
+        write_selection_csv(args.out, stats, uniform_merits(population))
         print(f"{args.name}: selection counts over {heights} heights written to {args.out}")
         return 0
     if args.name == "ev-sync-rewards":
@@ -101,12 +94,10 @@ def _cmd_figure(args) -> int:
             doc["seed"] = args.seed
         scenario = parse_scenario(doc)
         result = run_scenario(scenario, out_dir=args.out)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["height", "mean", "mean_minus_std", "mean_plus_std"])
+        rows = [["height", "mean", "mean_minus_std", "mean_plus_std"]]
         for h, (mean, std_all, _) in sorted(result.aggregate.items()):
-            writer.writerow([h, repr(mean), repr(mean - std_all), repr(mean + std_all)])
-        _atomic_write(os.path.join(args.out, "figure.csv"), buf.getvalue())
+            rows.append([h, repr(mean), repr(mean - std_all), repr(mean + std_all)])
+        _write_csv(os.path.join(args.out, "figure.csv"), rows)
         print(f"ev-sync-rewards: {scenario.replications} replications written to {args.out}")
         return 0
     raise UnknownFigure(args.name)
@@ -137,6 +128,10 @@ def main(argv=None) -> int:
         return 2
     except ScenarioError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
+        return 2
+    except QuorumImpossible as exc:
+        # a selected committee holds more Byzantine members than consensus tolerates
+        print(json.dumps(ScenarioError("population.behaviors", str(exc)).to_json()), file=sys.stderr)
         return 2
     except UnknownFigure as exc:
         known = sorted(_SELECTION_FIGURES) + ["ev-sync-rewards"]

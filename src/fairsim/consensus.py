@@ -16,8 +16,8 @@ the messages around decisions, which this preserves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .core import (
     GENESIS_HASH,
@@ -69,6 +69,18 @@ def max_byzantine(n: int) -> int:
     return (n - 1) // 3
 
 
+def check_byzantine_bound(committee: Sequence[ProcessSpec], h: int) -> None:
+    """Raise QuorumImpossible when more members of ``committee`` misbehave at
+    height ``h`` than consensus tolerates."""
+    byz = sum(1 for s in committee if s.behavior_at(h) is not BehaviorKind.CORRECT)
+    limit = max_byzantine(len(committee))
+    if byz > limit:
+        raise QuorumImpossible(
+            f"height {h}: {byz} Byzantine members in a committee of {len(committee)};"
+            f" at most {limit} tolerated"
+        )
+
+
 def update_delta(
     current: int,
     collected: Set[ProcessId],
@@ -81,17 +93,6 @@ def update_delta(
     if policy is TimeoutPolicy.MODULABLE and not committee <= collected:
         return current + increment
     return current
-
-
-def decision_evidence(
-    decisions: Sequence[Tuple[ProcessId, int]], threshold: int
-) -> Optional[int]:
-    """Payload supported by >= threshold distinct senders, if any."""
-    senders_by_payload: Dict[int, Set[ProcessId]] = {}
-    for sender, payload in decisions:
-        senders_by_payload.setdefault(payload, set()).add(sender)
-    winners = [p for p, s in senders_by_payload.items() if len(s) >= threshold]
-    return min(winners) if winners else None
 
 
 def collect_decisions(
@@ -228,19 +229,16 @@ class SimulationEngine:
                 self._sel_state.apply_block(self.chain.blocks[self._sel_applied])
                 self._sel_applied += 1
             committee = self._sel_state.committee(h, self.genesis.selection)
-        byz = sum(
-            1 for pid in committee if self.specs[pid].behavior_at(h) is not BehaviorKind.CORRECT
-        )
-        if byz > max_byzantine(len(committee)) and not self.config.allow_quorum_violation:
-            raise QuorumImpossible(
-                f"height {h}: {byz} Byzantine members in a committee of {len(committee)}"
-            )
+        if not self.config.allow_quorum_violation:
+            check_byzantine_bound([self.specs[pid] for pid in committee], h)
         self._committees[h] = committee
         return committee
 
+    def _parent_link(self, h: int) -> int:
+        return GENESIS_HASH if h == 1 else simulated_hash(self.chain.block_at(h - 1))
+
     def _payload(self, h: int) -> int:
-        parent = GENESIS_HASH if h == 1 else simulated_hash(self.chain.block_at(h - 1))
-        return payload_for_height(h, parent)
+        return payload_for_height(h, self._parent_link(h))
 
     def _send(
         self,
@@ -251,7 +249,6 @@ class SimulationEngine:
         r: int,
         payload: int,
         t: SimTime,
-        reward_proposal: Optional[Dict[ProcessId, int]] = None,
     ) -> None:
         for rcpt in sorted(recipients):
             msg = Message(
@@ -262,7 +259,6 @@ class SimulationEngine:
                 kind=kind,
                 payload=payload,
                 sent_at=t,
-                reward_proposal=reward_proposal,
             )
             msg.deliver_at = t if rcpt == sender else assign_delay(self.model, msg, self.rng)
             self.queue.push(msg.deliver_at, ("msg", msg))
@@ -288,53 +284,37 @@ class SimulationEngine:
         st.height = h
         if h > self.max_height + 1:
             return
-        committee = self._committee(h)
-        behavior = st.spec.behavior_at(h)
-        if pid in committee:
-            proposers = sorted(committee)
-            if proposers[0] == pid:
-                if behavior is BehaviorKind.CORRECT:
-                    self._propose(pid, h, 0, t)
-                elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE:
-                    self._equivocate_propose(pid, h, 0, t)
-            self.queue.push(t + self.config.round_ticks, ("round", pid, h, 1))
+        if pid in self._committee(h):
+            self._on_round(pid, h, 0, t)
         self._check_progress(pid, h, t)
 
     def _propose(self, pid: ProcessId, h: int, r: int, t: SimTime) -> None:
-        payload = self._payload(h)
-        vector = self._reward_proposal(pid, h)
+        # the first correct proposal of a height fixes the rewards its block carries
         if h not in self._pending_reward:
-            self._pending_reward[h] = vector
-        self._send(pid, self._committee(h), MessageKind.PROPOSE, h, r, payload, t, reward_proposal=vector)
+            self._pending_reward[h] = self._reward_proposal(pid, h)
+        self._send(pid, self._committee(h), MessageKind.PROPOSE, h, r, self._payload(h), t)
 
-    def _equivocate_propose(self, pid: ProcessId, h: int, r: int, t: SimTime) -> None:
+    def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, r: int, t: SimTime) -> None:
+        """Send one bogus payload to the lower half of the other members and
+        another to the upper half."""
         payload = self._payload(h)
-        lower, upper = self._split_peers(pid, h)
-        self._send(pid, lower, MessageKind.PROPOSE, h, r, payload + _BOGUS_A, t)
-        self._send(pid, upper, MessageKind.PROPOSE, h, r, payload + _BOGUS_B, t)
-
-    def _split_peers(self, pid: ProcessId, h: int) -> Tuple[List[ProcessId], List[ProcessId]]:
         peers = sorted(q for q in self._committee(h) if q != pid)
         half = len(peers) // 2
-        return peers[:half], peers[half:]
+        self._send(pid, peers[:half], kind, h, r, payload + _BOGUS_A, t)
+        self._send(pid, peers[half:], kind, h, r, payload + _BOGUS_B, t)
 
     def _reward_proposal(self, pid: ProcessId, h: int) -> Dict[ProcessId, int]:
         prev = h - 1
         if prev < 1:
             return {}
         st = self.procs[pid]
-        committee = self._committee(prev)
-        alloc = allocate(
-            proposer=pid,
-            height=prev,
+        return allocate(
             mech=self.genesis.reward,
-            committee=committee,
+            committee=self._committee(prev),
             to_reward=st.to_reward.get(prev, set()),
             incorrect=st.suspicion.confirmed(prev),
             reward_per_member=self.genesis.reward_per_member,
-            timeout_policy=self.genesis.timeout_policy,
         )
-        return alloc.vector
 
     def _on_round(self, pid: ProcessId, h: int, r: int, t: SimTime) -> None:
         st = self.procs[pid]
@@ -348,7 +328,7 @@ class SimulationEngine:
             if behavior is BehaviorKind.CORRECT:
                 self._propose(pid, h, r, t)
             elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE:
-                self._equivocate_propose(pid, h, r, t)
+                self._equivocate(pid, MessageKind.PROPOSE, h, r, t)
         self.queue.push(t + self.config.round_ticks, ("round", pid, h, r + 1))
 
     # -- message handling ---------------------------------------------------
@@ -407,10 +387,7 @@ class SimulationEngine:
                 self._send(pid, committee, MessageKind.VOTE, h, 0, self._payload(h), t)
             elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE and h not in st.equivocated:
                 st.equivocated.add(h)
-                payload = self._payload(h)
-                lower, upper = self._split_peers(pid, h)
-                self._send(pid, lower, MessageKind.VOTE, h, 0, payload + _BOGUS_A, t)
-                self._send(pid, upper, MessageKind.VOTE, h, 0, payload + _BOGUS_B, t)
+                self._equivocate(pid, MessageKind.VOTE, h, 0, t)
 
         if member and len(st.votes.get(h, ())) >= quorum_size(len(committee)):
             self._decide(pid, h, t)
@@ -435,7 +412,6 @@ class SimulationEngine:
         self.queue.push(t + st.delta, ("collect", pid, h))
 
     def _append_block(self, h: int, payload: int) -> None:
-        parent = GENESIS_HASH if h == 1 else simulated_hash(self.chain.block_at(h - 1))
         vector = self._pending_reward.get(h, {})
         block = Block(
             height=h,
@@ -443,7 +419,7 @@ class SimulationEngine:
             rewards_for=h - 1,
             reward_vector=vector,
             payload_id=payload,
-            parent_link=parent,
+            parent_link=self._parent_link(h),
         )
         self.chain.append(block)
         if h >= 2:
@@ -513,7 +489,6 @@ class SimulationEngine:
                 self._on_msg(event[1], t)
             elif kind == "start":
                 self._start_height(event[1], event[2], t)
-                self._maybe_trigger_gst(t)
             elif kind == "round":
                 self._on_round(event[1], event[2], event[3], t)
             elif kind == "collect":

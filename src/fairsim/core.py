@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 ProcessId = int
 
@@ -74,9 +74,6 @@ class GenesisConfig:
     timeout_policy: TimeoutPolicy = TimeoutPolicy.FIXED
     initial_stakes: Dict[ProcessId, int] = field(default_factory=dict)
     reward_per_member: int = 1
-
-    def stake_of(self, pid: ProcessId) -> int:
-        return self.initial_stakes.get(pid, 0)
 
 
 @dataclass

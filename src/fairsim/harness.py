@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .consensus import EngineConfig, RunResult, SimulationEngine
+from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_byzantine_bound
 from .core import (
     BehaviorKind,
     Blockchain,
     GenesisConfig,
+    ProcessId,
     ProcessSpec,
     RewardMechanismId,
     SelectionMechanismId,
@@ -34,7 +35,7 @@ from .core import (
 from .fairness import FairnessReport, GroundTruth, build_report
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
 from .reward import RewardMatrix
-from .selection import SelectionTally, check_selection_fairness
+from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
 
@@ -98,6 +99,8 @@ def _heights_matching(spec, max_height: int, path: str) -> List[int]:
     if isinstance(spec, dict):
         if "mod" in spec:
             m, r = int(spec["mod"]), int(spec.get("rem", 0))
+            if m < 1:
+                raise ScenarioError(path, f"mod must be a positive integer, got {m}")
             return [h for h in range(1, max_height + 2) if h % m == r]
         if "from" in spec:
             return list(range(int(spec["from"]), int(spec.get("to", max_height + 1)) + 1))
@@ -197,16 +200,14 @@ def parse_scenario(doc: dict) -> Scenario:
         for pid in range(size)
     ]
 
-    # committees cannot out-tolerate the Byzantine bound unless overridden
-    if not engine.allow_quorum_violation:
-        limit = (n - 1) // 3
-        for h in range(1, max_height + 2):
-            byz = sum(1 for s in specs if s.behavior_at(h) is not BehaviorKind.CORRECT)
-            if byz > limit and size == n:
-                raise ScenarioError(
-                    "population.behaviors",
-                    f"height {h} schedules {byz} Byzantine processes; at most {limit} tolerated",
-                )
+    # when every process sits on every committee, the Byzantine bound can be
+    # checked before running; otherwise the engine checks each committee
+    if size == n and not engine.allow_quorum_violation:
+        try:
+            for h in range(1, max_height + 2):
+                check_byzantine_bound(specs, h)
+        except QuorumImpossible as exc:
+            raise ScenarioError("population.behaviors", str(exc)) from None
 
     replications = doc.get("replications", 1)
     if not isinstance(replications, int) or replications < 1:
@@ -226,16 +227,38 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
+def _ticks(net: dict, key: str) -> int:
+    value = _require(net, key, "network")
+    if type(value) is not int or value < 0:
+        raise ScenarioError(f"network.{key}", "must be a non-negative integer")
+    return value
+
+
+def _delay_range(net: dict, key: str, default: Optional[list] = None) -> tuple:
+    value = _require(net, key, "network") if default is None else net.get(key, default)
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(type(v) is int for v in value)
+        and 0 <= value[0] <= value[1]
+    ):
+        raise ScenarioError(f"network.{key}", "must be [lo, hi] with integers 0 <= lo <= hi")
+    return tuple(value)
+
+
 def _parse_network(net: dict):
     kind = _require(net, "model", "network")
     if kind == "synchronous":
         return Synchronous(delay=net.get("delay", 0))
     if kind == "good_bad":
+        good_len, bad_len = _ticks(net, "good_len"), _ticks(net, "bad_len")
+        if good_len + bad_len == 0:
+            raise ScenarioError("network.bad_len", "good_len + bad_len must be positive")
         return GoodBad(
-            good_len=_require(net, "good_len", "network"),
-            bad_len=_require(net, "bad_len", "network"),
-            good_delay_bound=_require(net, "good_delay_bound", "network"),
-            bad_delay_range=tuple(_require(net, "bad_delay_range", "network")),
+            good_len=good_len,
+            bad_len=bad_len,
+            good_delay_bound=_ticks(net, "good_delay_bound"),
+            bad_delay_range=_delay_range(net, "bad_delay_range"),
             laggards={int(k): int(v) for k, v in net.get("laggards", {}).items()},
         )
     if kind == "eventually_synchronous":
@@ -244,14 +267,14 @@ def _parse_network(net: dict):
         if gst is None and gst_height is None:
             raise ScenarioError("network", "eventually_synchronous needs gst or gst_height")
         return EventuallySynchronous(
-            post_gst_bound=_require(net, "post_gst_bound", "network"),
-            pre_gst_delay_range=tuple(_require(net, "pre_gst_delay_range", "network")),
+            post_gst_bound=_ticks(net, "post_gst_bound"),
+            pre_gst_delay_range=_delay_range(net, "pre_gst_delay_range"),
             gst=gst,
             gst_height=gst_height,
         )
     if kind == "asynchronous":
         return Asynchronous(
-            base_delay_range=tuple(net.get("base_delay_range", [0, 3])),
+            base_delay_range=_delay_range(net, "base_delay_range", [0, 3]),
             burst_every_heights=net.get("burst_every_heights", 8),
             burst_initial=net.get("burst_initial", 50),
             burst_growth=net.get("burst_growth", 2),
@@ -289,6 +312,19 @@ def static_fairness_flags(mech: RewardMechanismId) -> tuple:
     )
 
 
+def _grade(scenario: Scenario, matrix: RewardMatrix, committees: Dict[int, List[ProcessId]]) -> FairnessReport:
+    static_complete, static_accurate = static_fairness_flags(scenario.genesis.reward)
+    return build_report(
+        matrix=matrix,
+        committees=committees,
+        truth=GroundTruth.from_specs(scenario.specs),
+        population=scenario.genesis.population,
+        stabilization_window=scenario.window,
+        static_complete=static_complete,
+        static_accurate=static_accurate,
+    )
+
+
 def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) -> ReplicationResult:
     config = copy.copy(scenario.engine)
     config.record_trace = record_trace
@@ -301,18 +337,7 @@ def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) ->
         config=config,
     )
     result = engine.run()
-    truth = GroundTruth.from_specs(scenario.specs)
-    static_complete, static_accurate = static_fairness_flags(scenario.genesis.reward)
-    report = build_report(
-        matrix=result.matrix,
-        committees=result.committees,
-        truth=truth,
-        population=scenario.genesis.population,
-        stabilization_window=scenario.window,
-        static_complete=static_complete,
-        static_accurate=static_accurate,
-    )
-    return ReplicationResult(index=rep, result=result, report=report)
+    return ReplicationResult(index=rep, result=result, report=_grade(scenario, result.matrix, result.committees))
 
 
 def _run_rep_task(args) -> ReplicationResult:
@@ -375,34 +400,38 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: str, rows, preamble: str = "") -> None:
+    buf = io.StringIO()
+    buf.write(preamble)
+    csv.writer(buf).writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def write_selection_csv(out_dir: str, stats: SelectionStats, merits: Dict[ProcessId, Fraction]) -> None:
+    """Per-process selection count, frequency v_i and merit alpha_i."""
+    rows = [["process_id", "count", "v_i", "alpha_i"]]
+    for pid, count in sorted(stats.counts.items()):
+        rows.append([pid, count, repr(count / stats.total_heights), repr(float(merits[pid]))])
+    _write_csv(os.path.join(out_dir, "selection.csv"), rows)
+
+
 def write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     scenario = result.scenario
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["replication", "height", "process_id", "r", "amount"])
+    rows = [["replication", "height", "process_id", "r", "amount"]]
     for rr in result.replications:
         for h in rr.result.matrix.heights():
             for pid in rr.result.committees[h]:
-                writer.writerow([rr.index, h, pid, rr.result.matrix.r(h, pid), rr.result.matrix.amount(h, pid)])
-    _atomic_write(os.path.join(out_dir, "rewards.csv"), buf.getvalue())
+                rows.append([rr.index, h, pid, rr.result.matrix.r(h, pid), rr.result.matrix.amount(h, pid)])
+    _write_csv(os.path.join(out_dir, "rewards.csv"), rows)
 
     tally = SelectionTally(scenario.genesis.population)
     first = result.replications[0]
     for h in sorted(first.result.committees):
         if h <= scenario.max_height:
             tally.record(h, first.result.committees[h])
-    stats = tally.stats()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["process_id", "count", "v_i", "alpha_i"])
-    for pid in range(scenario.genesis.population):
-        count = stats.counts[pid]
-        writer.writerow(
-            [pid, count, repr(count / stats.total_heights), repr(float(scenario.specs[pid].merit))]
-        )
-    _atomic_write(os.path.join(out_dir, "selection.csv"), buf.getvalue())
+    write_selection_csv(out_dir, tally.stats(), {s.id: s.merit for s in scenario.specs})
 
     fairness = {
         "stabilization_window": scenario.window,
@@ -412,14 +441,15 @@ def write_outputs(result: ScenarioResult, out_dir: str) -> None:
     }
     _atomic_write(os.path.join(out_dir, "fairness.json"), json.dumps(fairness, indent=2, sort_keys=True) + "\n")
 
-    buf = io.StringIO()
-    buf.write("# mean/std of the reward parameter per height;"
-              " std_all over process x replication samples, std_rep over replication means\n")
-    writer = csv.writer(buf)
-    writer.writerow(["height", "mean", "std_all", "std_rep"])
+    rows = [["height", "mean", "std_all", "std_rep"]]
     for h, (mean, std_all, std_rep) in sorted(result.aggregate.items()):
-        writer.writerow([h, repr(mean), repr(std_all), repr(std_rep)])
-    _atomic_write(os.path.join(out_dir, "aggregate.csv"), buf.getvalue())
+        rows.append([h, repr(mean), repr(std_all), repr(std_rep)])
+    _write_csv(
+        os.path.join(out_dir, "aggregate.csv"),
+        rows,
+        preamble="# mean/std of the reward parameter per height;"
+        " std_all over process x replication samples, std_rep over replication means\n",
+    )
 
     _atomic_write(
         os.path.join(out_dir, "scenario-echo.json"),
@@ -446,23 +476,12 @@ def regrade_output_dir(out_dir: str) -> dict:
     with open(os.path.join(out_dir, "fairness.json"), "r", encoding="utf-8") as fh:
         stored = json.load(fh)
 
-    truth = GroundTruth.from_specs(scenario.specs)
-    static_complete, static_accurate = static_fairness_flags(scenario.genesis.reward)
     regraded = []
     for rep in range(scenario.replications):
         path = os.path.join(out_dir, f"chain-{rep:03d}.jsonl")
         with open(path, "r", encoding="utf-8") as fh:
             chain = chain_from_jsonl(fh.read())
-        matrix, committees = matrix_from_chain(chain)
-        report = build_report(
-            matrix=matrix,
-            committees=committees,
-            truth=truth,
-            population=scenario.genesis.population,
-            stabilization_window=scenario.window,
-            static_complete=static_complete,
-            static_accurate=static_accurate,
-        )
+        report = _grade(scenario, *matrix_from_chain(chain))
         regraded.append({"replication": rep, **report.to_json()})
 
     matches = regraded == stored["replications"]

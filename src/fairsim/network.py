@@ -16,8 +16,6 @@ from typing import Dict, Optional, Tuple
 
 SimTime = int
 
-BROADCAST = -1
-
 
 class MessageKind(Enum):
     PROPOSE = "propose"
@@ -36,7 +34,6 @@ class Message:
     payload: int  # payload_id, or the suspect id for suspicion messages
     sent_at: SimTime = 0
     deliver_at: SimTime = 0
-    reward_proposal: Optional[Dict[int, int]] = None
 
 
 @dataclass
@@ -167,8 +164,3 @@ class EventQueue:
         at, _, event = heapq.heappop(self._heap)
         self.clock = at
         return at, event
-
-
-def event_loop_step(queue: EventQueue) -> Tuple[SimTime, object]:
-    """Pop the earliest event and advance the clock."""
-    return queue.pop()

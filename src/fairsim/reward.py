@@ -1,5 +1,5 @@
-"""Reward mechanisms: the reward function, suspicion-quorum detection, and
-the fixed/modulable decision-collection variants.
+"""Reward mechanisms: the allocation rule of each mechanism, suspicion-quorum
+detection, and the write-once reward matrix.
 
 Rewards for height h are carried by the block at height h+1 and never
 change afterwards. A committee member of h is confirmed misbehaving once
@@ -10,10 +10,9 @@ within floor((n-1)/3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .core import Blockchain, ProcessId, RewardMechanismId, TimeoutPolicy
-from .network import Message, MessageKind, SimTime
+from .core import ProcessId, RewardMechanismId
 
 
 def suspicion_quorum(n: int) -> int:
@@ -33,7 +32,6 @@ class RewardMatrix:
 
     def __init__(self) -> None:
         self._rows: Dict[int, Dict[ProcessId, int]] = {}
-        self._committees: Dict[int, List[ProcessId]] = {}
 
     def set_row(self, height: int, committee: Sequence[ProcessId], amounts: Dict[ProcessId, int]) -> None:
         if height in self._rows:
@@ -42,18 +40,12 @@ class RewardMatrix:
         if bad:
             raise ValueError(f"rewarded non-members at height {height}: {sorted(bad)}")
         self._rows[height] = dict(amounts)
-        self._committees[height] = list(committee)
 
     def heights(self) -> List[int]:
         return sorted(self._rows)
 
     def has(self, height: int) -> bool:
         return height in self._rows
-
-    def committee(self, height: int) -> List[ProcessId]:
-        if height not in self._committees:
-            raise RewardsNotYetAllocated(height)
-        return self._committees[height]
 
     def amount(self, height: int, pid: ProcessId) -> int:
         if height not in self._rows:
@@ -79,9 +71,6 @@ class SuspicionState:
     def accuse(self, height: int, suspect: ProcessId, accuser: ProcessId) -> None:
         self.accusers.setdefault((height, suspect), set()).add(accuser)
 
-    def accuser_count(self, height: int, suspect: ProcessId) -> int:
-        return len(self.accusers.get((height, suspect), ()))
-
     def confirmed(self, height: int) -> Set[ProcessId]:
         quorum = suspicion_quorum(self.n)
         return {
@@ -91,68 +80,14 @@ class SuspicionState:
         }
 
 
-@dataclass
-class ProposerView:
-    """What the height-(h+1) proposer knows when it allocates rewards for h."""
-
-    committee: List[ProcessId]
-    decided_at: SimTime
-    delta: int
-    suspicion: SuspicionState
-
-
-def decisions_within(info: Iterable[Message], height: int, deadline: SimTime) -> Set[ProcessId]:
-    """Committee-facing view of ``info``: senders of decision messages for
-    ``height`` delivered no later than ``deadline``."""
-    return {
-        m.sender
-        for m in info
-        if m.kind is MessageKind.DECISION and m.height == height and m.deliver_at <= deadline
-    }
-
-
-def detect_h_correct(
-    info: Iterable[Message],
-    height: int,
-    suspicion: SuspicionState,
-    committee: Sequence[ProcessId],
-) -> Tuple[Set[ProcessId], Set[ProcessId], Set[ProcessId]]:
-    """Partition the committee of ``height`` into (correct, incorrect, unknown).
-
-    incorrect: confirmed suspects. correct: members whose decision message
-    arrived in time and who are not confirmed suspects. unknown: the rest —
-    their messages may still be in flight, so nothing is concluded.
-    """
-    incorrect = suspicion.confirmed(height) & set(committee)
-    seen = decisions_within(info, height, deadline=_latest(info))
-    correct = (seen & set(committee)) - incorrect
-    unknown = set(committee) - correct - incorrect
-    return correct, incorrect, unknown
-
-
-def _latest(info: Iterable[Message]) -> SimTime:
-    times = [m.deliver_at for m in info]
-    return max(times) if times else 0
-
-
-@dataclass
-class Allocation:
-    vector: Dict[ProcessId, int]
-    # true when the proposer lacked information and should wait longer next height
-    wants_longer_wait: bool = False
-
-
 def allocate(
-    proposer: ProcessId,
-    height: int,
     mech: RewardMechanismId,
     committee: Sequence[ProcessId],
     to_reward: Set[ProcessId],
     incorrect: Set[ProcessId],
     reward_per_member: int,
-    timeout_policy: TimeoutPolicy = TimeoutPolicy.FIXED,
-) -> Allocation:
-    """Reward vector for the block at ``height + 1``.
+) -> Dict[ProcessId, int]:
+    """Reward vector, carried by the next block, for a height with ``committee``.
 
     ``to_reward`` is the set of members whose decisions the proposer
     collected within its window; ``incorrect`` the confirmed suspects.
@@ -168,54 +103,4 @@ def allocate(
         rewarded = (to_reward & members) - incorrect
     else:
         raise ValueError(f"unknown reward mechanism: {mech}")
-
-    unknown = members - rewarded - incorrect
-    wants_longer = (
-        timeout_policy is TimeoutPolicy.MODULABLE
-        and mech in (RewardMechanismId.SUSPICION_QUORUM, RewardMechanismId.TENDERMINT_TO_REWARD)
-        and bool(unknown)
-    )
-    return Allocation(
-        vector={pid: reward_per_member for pid in sorted(rewarded)},
-        wants_longer_wait=wants_longer,
-    )
-
-
-def reward_fn(
-    bc: Blockchain,
-    info: Iterable[Message],
-    height: int,
-    mech: RewardMechanismId,
-    view: Optional[ProposerView] = None,
-) -> List[Optional[int]]:
-    """Full reward vector over the population, or a bottom vector when the
-    chain is shorter than ``height``.
-
-    The mechanisms that depend on delivered messages (Tendermint-style
-    collection and suspicion-quorum detection) need the proposer's ``view``.
-    """
-    population = bc.genesis.population
-    if len(bc) < height:
-        return [None] * population
-
-    committee = bc.block_at(height).committee
-    per_member = bc.genesis.reward_per_member
-    if mech is RewardMechanismId.REWARD_ALL_COMMITTEE:
-        rewarded = set(committee)
-    elif mech is RewardMechanismId.NEVER_REWARD:
-        rewarded = set()
-    else:
-        if view is None:
-            raise ValueError(f"{mech.value} requires the proposer's view")
-        collected = decisions_within(info, height, view.decided_at + view.delta)
-        alloc = allocate(
-            proposer=-1,
-            height=height,
-            mech=mech,
-            committee=committee,
-            to_reward=collected,
-            incorrect=view.suspicion.confirmed(height),
-            reward_per_member=per_member,
-        )
-        rewarded = set(alloc.vector)
-    return [per_member if pid in rewarded else 0 for pid in range(population)]
+    return {pid: reward_per_member for pid in sorted(rewarded)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .core import Block, Blockchain, ProcessId, SelectionMechanismId
 
@@ -83,10 +83,6 @@ class SelectionStats:
     counts: Dict[ProcessId, int]
     total_heights: int
     max_gap: Dict[ProcessId, int]  # longest stretch of heights without a selection
-
-    @property
-    def frequencies(self) -> Dict[ProcessId, Fraction]:
-        return {pid: Fraction(c, self.total_heights) for pid, c in self.counts.items()}
 
 
 class SelectionTally:
@@ -179,6 +175,29 @@ def check_selection_fairness(
     )
 
 
+def _committees(
+    population: int,
+    n: int,
+    mech: SelectionMechanismId,
+    heights: int,
+    initial_stakes: Optional[Dict[ProcessId, int]],
+    reward_per_member: int,
+) -> Iterator[List[ProcessId]]:
+    """Committees of heights 1..``heights`` of a selection-only run.
+
+    A generator, so long runs never hold every committee at once.
+    """
+    if initial_stakes is None:
+        initial_stakes = {pid: 100 for pid in range(population)}
+    state = SelectionState.initial(population, n, initial_stakes)
+    for h in range(1, heights + 1):
+        committee = state.committee(h, mech)
+        for pid in committee:
+            state.counts[pid] += 1
+            state.stakes[pid] += reward_per_member
+        yield committee
+
+
 def run_selection_experiment(
     population: int,
     n: int,
@@ -191,16 +210,10 @@ def run_selection_experiment(
     credited its reward as soon as the block is produced, so selection at
     height h sees the stakes implied by heights 1..h-1.
     """
-    if initial_stakes is None:
-        initial_stakes = {pid: 100 for pid in range(population)}
-    state = SelectionState.initial(population, n, initial_stakes)
     tally = SelectionTally(population)
-    for h in range(1, heights + 1):
-        committee = state.committee(h, mech)
+    run = _committees(population, n, mech, heights, initial_stakes, reward_per_member)
+    for h, committee in enumerate(run, start=1):
         tally.record(h, committee)
-        for pid in committee:
-            state.counts[pid] += 1
-            state.stakes[pid] += reward_per_member
     return tally.stats()
 
 
@@ -213,14 +226,4 @@ def selection_committees(
     reward_per_member: int = 1,
 ) -> List[List[ProcessId]]:
     """Same run as ``run_selection_experiment`` but returning the committees."""
-    if initial_stakes is None:
-        initial_stakes = {pid: 100 for pid in range(population)}
-    state = SelectionState.initial(population, n, initial_stakes)
-    out = []
-    for h in range(1, heights + 1):
-        committee = state.committee(h, mech)
-        out.append(committee)
-        for pid in committee:
-            state.counts[pid] += 1
-            state.stakes[pid] += reward_per_member
-    return out
+    return list(_committees(population, n, mech, heights, initial_stakes, reward_per_member))

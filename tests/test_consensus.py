@@ -4,7 +4,6 @@ from fairsim.consensus import (
     EngineConfig,
     SimulationEngine,
     collect_decisions,
-    decision_evidence,
     evidence_threshold,
     max_byzantine,
     quorum_size,
@@ -47,12 +46,6 @@ def test_update_delta_fixed_never_moves():
 def test_update_delta_modulable_grows_only_on_misses():
     assert update_delta(5, {0, 1}, {0, 1, 2}, TimeoutPolicy.MODULABLE, 7) == 12
     assert update_delta(5, {0, 1, 2}, {0, 1, 2}, TimeoutPolicy.MODULABLE, 7) == 5
-
-
-def test_decision_evidence_threshold():
-    decisions = [(0, 42), (1, 42), (2, 99), (0, 42)]
-    assert decision_evidence(decisions, threshold=2) == 42
-    assert decision_evidence(decisions, threshold=3) is None
 
 
 def test_collect_decisions_window_and_membership():

@@ -225,6 +225,64 @@ def test_cli_invalid_scenario_exits_nonzero(tmp_path, capsys):
     assert err["error"]["field"] == "schema_version"
 
 
+_NETWORKS = {
+    "good_bad": {
+        "model": "good_bad",
+        "good_len": 300,
+        "bad_len": 40,
+        "good_delay_bound": 2,
+        "bad_delay_range": [4, 9],
+    },
+    "eventually_synchronous": {
+        "model": "eventually_synchronous",
+        "gst_height": 6,
+        "post_gst_bound": 8,
+        "pre_gst_delay_range": [5, 30],
+    },
+    "asynchronous": {"model": "asynchronous"},
+}
+
+
+def _network(model, **fields):
+    return lambda doc: doc.update(network={**_NETWORKS[model], **fields})
+
+
+def _over_byzantine_bound(doc):
+    # highest-stake selection puts both silent processes on every committee of 4
+    doc["population"] = {
+        "size": 7,
+        "behaviors": [{"process": p, "kind": "silent", "heights": "all"} for p in (0, 1)],
+    }
+    doc["genesis"]["committee_size"] = 4
+    doc["genesis"]["selection"] = "highest_stake"
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("population.behaviors[0].heights",
+         lambda doc: doc["population"]["behaviors"][0].update(heights={"mod": 0})),
+        ("population.behaviors", _over_byzantine_bound),
+        ("network.bad_len", _network("good_bad", good_len=0, bad_len=0)),
+        ("network.good_delay_bound", _network("good_bad", good_delay_bound=-1)),
+        ("network.bad_delay_range", _network("good_bad", bad_delay_range=[9, 4])),
+        ("network.post_gst_bound", _network("eventually_synchronous", post_gst_bound=-3)),
+        ("network.pre_gst_delay_range", _network("eventually_synchronous", pre_gst_delay_range=[30, 5])),
+        ("network.base_delay_range", _network("asynchronous", base_delay_range=[-1, 3])),
+    ],
+)
+def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
+    doc = _doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["field"] == field
+
+
 def test_cli_unknown_figure(tmp_path, capsys):
     rc = cli_main(["figure", "no-such-figure", "--out", str(tmp_path)])
     assert rc == 2

@@ -1,15 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fairsim.core import RewardMechanismId as R, TimeoutPolicy
-from fairsim.network import Message, MessageKind
+from fairsim.core import RewardMechanismId as R
 from fairsim.reward import (
     RewardMatrix,
     RewardsNotYetAllocated,
     SuspicionState,
     allocate,
-    decisions_within,
-    detect_h_correct,
     suspicion_quorum,
 )
 
@@ -44,8 +41,6 @@ def test_matrix_unallocated_height():
     m = RewardMatrix()
     with pytest.raises(RewardsNotYetAllocated):
         m.r(3, 0)
-    with pytest.raises(RewardsNotYetAllocated):
-        m.committee(3)
 
 
 def test_matrix_rewarded_set():
@@ -67,102 +62,30 @@ def test_suspicion_state_confirmation_threshold():
     assert s.confirmed(6) == set()
 
 
-def _decision(sender, height, deliver_at):
-    return Message(
-        sender=sender,
-        recipient=0,
-        height=height,
-        round=0,
-        kind=MessageKind.DECISION,
-        payload=0,
-        sent_at=0,
-        deliver_at=deliver_at,
-    )
-
-
-def test_decisions_within_deadline():
-    info = [
-        _decision(0, 3, 10),
-        _decision(1, 3, 15),
-        _decision(2, 3, 16),
-        _decision(3, 4, 10),
-    ]
-    assert decisions_within(info, 3, 15) == {0, 1}
-    assert decisions_within(info, 3, 20) == {0, 1, 2}
-    assert decisions_within(info, 4, 20) == {3}
-
-
-def test_detect_partition():
-    s = SuspicionState(n=4)
-    for accuser in (0, 1, 3):
-        s.accuse(2, suspect=2, accuser=accuser)
-    info = [_decision(0, 2, 5), _decision(1, 2, 6), _decision(2, 2, 7)]
-    correct, incorrect, unknown = detect_h_correct(info, 2, s, [0, 1, 2, 3])
-    assert incorrect == {2}
-    assert correct == {0, 1}
-    assert unknown == {3}
-
-
-def _alloc(mech, to_reward, incorrect=frozenset(), policy=TimeoutPolicy.FIXED):
+def _alloc(mech, to_reward, incorrect=frozenset()):
     return allocate(
-        proposer=0,
-        height=1,
         mech=mech,
         committee=[0, 1, 2, 3],
         to_reward=set(to_reward),
         incorrect=set(incorrect),
         reward_per_member=2,
-        timeout_policy=policy,
     )
 
 
 def test_allocate_reward_all():
     a = _alloc(R.REWARD_ALL_COMMITTEE, to_reward=())
-    assert a.vector == {0: 2, 1: 2, 2: 2, 3: 2}
+    assert a == {0: 2, 1: 2, 2: 2, 3: 2}
 
 
 def test_allocate_never():
-    assert _alloc(R.NEVER_REWARD, to_reward={0, 1, 2, 3}).vector == {}
+    assert _alloc(R.NEVER_REWARD, to_reward={0, 1, 2, 3}) == {}
 
 
 def test_allocate_tendermint_rewards_collected_members_only():
     a = _alloc(R.TENDERMINT_TO_REWARD, to_reward={1, 2, 9})
-    assert a.vector == {1: 2, 2: 2}
+    assert a == {1: 2, 2: 2}
 
 
 def test_allocate_suspicion_subtracts_confirmed():
     a = _alloc(R.SUSPICION_QUORUM, to_reward={0, 1, 2, 3}, incorrect={2})
-    assert a.vector == {0: 2, 1: 2, 3: 2}
-
-
-def test_allocate_wants_longer_wait_only_when_modulable_and_missing():
-    a = _alloc(R.TENDERMINT_TO_REWARD, to_reward={0, 1}, policy=TimeoutPolicy.MODULABLE)
-    assert a.wants_longer_wait
-    a = _alloc(R.TENDERMINT_TO_REWARD, to_reward={0, 1, 2, 3}, policy=TimeoutPolicy.MODULABLE)
-    assert not a.wants_longer_wait
-    a = _alloc(R.TENDERMINT_TO_REWARD, to_reward={0, 1}, policy=TimeoutPolicy.FIXED)
-    assert not a.wants_longer_wait
-    # a confirmed suspect is not "missing information"
-    a = _alloc(
-        R.SUSPICION_QUORUM, to_reward={0, 1, 3}, incorrect={2}, policy=TimeoutPolicy.MODULABLE
-    )
-    assert not a.wants_longer_wait
-
-
-def test_reward_fn_bottom_until_height_exists():
-    from fairsim.core import (
-        Blockchain,
-        GenesisConfig,
-        SelectionMechanismId,
-    )
-    from fairsim.reward import reward_fn
-
-    genesis = GenesisConfig(
-        n=2,
-        population=4,
-        selection=SelectionMechanismId.LOWEST_STAKE,
-        reward=R.REWARD_ALL_COMMITTEE,
-        initial_stakes={pid: 0 for pid in range(4)},
-    )
-    bc = Blockchain(genesis=genesis)
-    assert reward_fn(bc, [], 1, R.REWARD_ALL_COMMITTEE) == [None, None, None, None]
+    assert a == {0: 2, 1: 2, 3: 2}
