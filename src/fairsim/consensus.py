@@ -81,6 +81,19 @@ def check_byzantine_bound(committee: Sequence[ProcessSpec], h: int) -> None:
         )
 
 
+def check_quorum_reachable(committee: Sequence[ProcessSpec], h: int) -> None:
+    """Raise QuorumImpossible when fewer members of ``committee`` are correct
+    at height ``h`` than a decision needs: only correct members send valid
+    votes, so the height could never be decided."""
+    correct = sum(1 for s in committee if s.behavior_at(h) is BehaviorKind.CORRECT)
+    quorum = quorum_size(len(committee))
+    if correct < quorum:
+        raise QuorumImpossible(
+            f"height {h}: only {correct} of {len(committee)} committee members are correct;"
+            f" a decision needs {quorum}"
+        )
+
+
 def update_delta(
     current: int,
     collected: Set[ProcessId],
@@ -176,6 +189,20 @@ class _Proc:
         self.accused: Set[Tuple[int, ProcessId]] = set()
 
 
+class _Height:
+    """What is fixed for one height once its committee is known."""
+
+    __slots__ = ("committee", "members", "order", "quorum", "evidence", "payload")
+
+    def __init__(self, committee: List[ProcessId], payload: int) -> None:
+        self.committee = committee
+        self.members = frozenset(committee)
+        self.order = sorted(committee)
+        self.quorum = quorum_size(len(committee))
+        self.evidence = evidence_threshold(len(committee))
+        self.payload = payload
+
+
 # deterministic bogus payload offsets for equivocating senders
 _BOGUS_A = 1_000_000_007
 _BOGUS_B = 2_000_000_014
@@ -208,7 +235,8 @@ class SimulationEngine:
         self.procs = {pid: _Proc(self.specs[pid], self.config.delta0, self.n) for pid in range(self.population)}
         self.trace: List[dict] = []
 
-        self._committees: Dict[int, List[ProcessId]] = {}
+        self._heights: Dict[int, _Height] = {}
+        self._everyone = list(range(self.population))
         self._sel_state = SelectionState.initial(self.population, self.n, genesis.initial_stakes)
         self._sel_applied = 0
         self._pending_reward: Dict[int, Dict[ProcessId, int]] = {}
@@ -216,10 +244,10 @@ class SimulationEngine:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _committee(self, h: int) -> List[ProcessId]:
-        cached = self._committees.get(h)
-        if cached is not None:
-            return cached
+    def _height(self, h: int) -> _Height:
+        info = self._heights.get(h)
+        if info is not None:
+            return info
         if h in self.committee_override:
             committee = list(self.committee_override[h])
         else:
@@ -229,16 +257,19 @@ class SimulationEngine:
                 self._sel_state.apply_block(self.chain.blocks[self._sel_applied])
                 self._sel_applied += 1
             committee = self._sel_state.committee(h, self.genesis.selection)
+        specs = [self.specs[pid] for pid in committee]
         if not self.config.allow_quorum_violation:
-            check_byzantine_bound([self.specs[pid] for pid in committee], h)
-        self._committees[h] = committee
-        return committee
+            check_byzantine_bound(specs, h)
+        else:
+            check_quorum_reachable(specs, h)
+        # a height starts only once block h-1 is on the chain, so its valid
+        # payload is fixed from here on
+        info = _Height(committee, payload_for_height(h, self._parent_link(h)))
+        self._heights[h] = info
+        return info
 
     def _parent_link(self, h: int) -> int:
         return GENESIS_HASH if h == 1 else simulated_hash(self.chain.block_at(h - 1))
-
-    def _payload(self, h: int) -> int:
-        return payload_for_height(h, self._parent_link(h))
 
     def _send(
         self,
@@ -250,32 +281,24 @@ class SimulationEngine:
         payload: int,
         t: SimTime,
     ) -> None:
-        for rcpt in sorted(recipients):
-            msg = Message(
-                sender=sender,
-                recipient=rcpt,
-                height=h,
-                round=r,
-                kind=kind,
-                payload=payload,
-                sent_at=t,
-            )
-            msg.deliver_at = t if rcpt == sender else assign_delay(self.model, msg, self.rng)
-            self.queue.push(msg.deliver_at, ("msg", msg))
-            if self.config.record_trace:
-                self.trace.append(
+        """Send one message to each of ``recipients``, which are sorted."""
+        model, rng, push = self.model, self.rng, self.queue.push
+        trace = self.trace if self.config.record_trace else None
+        for rcpt in recipients:
+            msg = Message(sender, rcpt, h, r, kind, payload, t)
+            msg.deliver_at = at = t if rcpt == sender else assign_delay(model, msg, rng)
+            push(at, ("msg", msg))
+            if trace is not None:
+                trace.append(
                     {
                         "time": t,
-                        "deliver_at": msg.deliver_at,
+                        "deliver_at": at,
                         "sender": sender,
                         "recipient": rcpt,
                         "kind": kind.value,
                         "height": h,
                     }
                 )
-
-    def _everyone(self) -> List[ProcessId]:
-        return list(range(self.population))
 
     # -- height lifecycle ---------------------------------------------------
 
@@ -284,7 +307,7 @@ class SimulationEngine:
         st.height = h
         if h > self.max_height + 1:
             return
-        if pid in self._committee(h):
+        if pid in self._height(h).members:
             self._on_round(pid, h, 0, t)
         self._check_progress(pid, h, t)
 
@@ -292,16 +315,17 @@ class SimulationEngine:
         # the first correct proposal of a height fixes the rewards its block carries
         if h not in self._pending_reward:
             self._pending_reward[h] = self._reward_proposal(pid, h)
-        self._send(pid, self._committee(h), MessageKind.PROPOSE, h, r, self._payload(h), t)
+        info = self._height(h)
+        self._send(pid, info.order, MessageKind.PROPOSE, h, r, info.payload, t)
 
     def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, r: int, t: SimTime) -> None:
         """Send one bogus payload to the lower half of the other members and
         another to the upper half."""
-        payload = self._payload(h)
-        peers = sorted(q for q in self._committee(h) if q != pid)
+        info = self._height(h)
+        peers = [q for q in info.order if q != pid]
         half = len(peers) // 2
-        self._send(pid, peers[:half], kind, h, r, payload + _BOGUS_A, t)
-        self._send(pid, peers[half:], kind, h, r, payload + _BOGUS_B, t)
+        self._send(pid, peers[:half], kind, h, r, info.payload + _BOGUS_A, t)
+        self._send(pid, peers[half:], kind, h, r, info.payload + _BOGUS_B, t)
 
     def _reward_proposal(self, pid: ProcessId, h: int) -> Dict[ProcessId, int]:
         prev = h - 1
@@ -310,7 +334,7 @@ class SimulationEngine:
         st = self.procs[pid]
         return allocate(
             mech=self.genesis.reward,
-            committee=self._committee(prev),
+            committee=self._height(prev).committee,
             to_reward=st.to_reward.get(prev, set()),
             incorrect=st.suspicion.confirmed(prev),
             reward_per_member=self.genesis.reward_per_member,
@@ -320,10 +344,8 @@ class SimulationEngine:
         st = self.procs[pid]
         if st.height != h or h in st.decided:
             return
-        committee = self._committee(h)
-        proposers = sorted(committee)
-        proposer = proposers[r % len(proposers)]
-        if proposer == pid:
+        order = self._height(h).order
+        if order[r % len(order)] == pid:
             behavior = st.spec.behavior_at(h)
             if behavior is BehaviorKind.CORRECT:
                 self._propose(pid, h, r, t)
@@ -334,33 +356,29 @@ class SimulationEngine:
     # -- message handling ---------------------------------------------------
 
     def _on_msg(self, msg: Message, t: SimTime) -> None:
-        st = self.procs[msg.recipient]
+        pid = msg.recipient
+        st = self.procs[pid]
         h = msg.height
-        st.any_from.setdefault(h, set()).add(msg.sender)
+        kind = msg.kind
+        if self._sync_omission:
+            st.any_from.setdefault(h, set()).add(msg.sender)
 
-        if msg.kind is MessageKind.SUSPICION:
+        if kind is MessageKind.SUSPICION:
             st.suspicion.accuse(h, msg.payload, msg.sender)
             return
 
-        valid = msg.payload == self._payload(h)
-        if msg.kind is MessageKind.PROPOSE:
-            if valid:
-                st.valid_proposal_seen.add(h)
-            else:
-                self._suspect(msg.recipient, h, msg.sender, t)
-        elif msg.kind is MessageKind.VOTE:
-            if valid:
-                st.votes.setdefault(h, set()).add(msg.sender)
-            else:
-                self._suspect(msg.recipient, h, msg.sender, t)
-        elif msg.kind is MessageKind.DECISION:
-            if valid:
-                st.decision_deliveries.setdefault(h, {}).setdefault(msg.sender, t)
-            else:
-                self._suspect(msg.recipient, h, msg.sender, t)
+        # the sender looked up this height's record before sending
+        if msg.payload != self._heights[h].payload:
+            self._suspect(pid, h, msg.sender, t)
+        elif kind is MessageKind.PROPOSE:
+            st.valid_proposal_seen.add(h)
+        elif kind is MessageKind.VOTE:
+            st.votes.setdefault(h, set()).add(msg.sender)
+        else:
+            st.decision_deliveries.setdefault(h, {}).setdefault(msg.sender, t)
 
         if st.height == h and h not in st.decided:
-            self._check_progress(msg.recipient, h, t)
+            self._check_progress(pid, h, t)
 
     def _suspect(self, pid: ProcessId, h: int, suspect: ProcessId, t: SimTime) -> None:
         st = self.procs[pid]
@@ -370,75 +388,72 @@ class SimulationEngine:
             return
         st.accused.add((h, suspect))
         st.suspicion.accuse(h, suspect, pid)
-        others = [q for q in self._everyone() if q != pid]
+        others = [q for q in self._everyone if q != pid]
         self._send(pid, others, MessageKind.SUSPICION, h, 0, suspect, t)
 
     def _check_progress(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
         if h in st.decided:
             return
-        committee = self._committee(h)
-        member = pid in committee
-        behavior = st.spec.behavior_at(h)
+        info = self._height(h)
+        member = pid in info.members
 
         if member and h in st.valid_proposal_seen:
+            behavior = st.spec.behavior_at(h)
             if behavior is BehaviorKind.CORRECT and h not in st.voted:
                 st.voted.add(h)
-                self._send(pid, committee, MessageKind.VOTE, h, 0, self._payload(h), t)
+                self._send(pid, info.order, MessageKind.VOTE, h, 0, info.payload, t)
             elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE and h not in st.equivocated:
                 st.equivocated.add(h)
                 self._equivocate(pid, MessageKind.VOTE, h, 0, t)
 
-        if member and len(st.votes.get(h, ())) >= quorum_size(len(committee)):
+        if member and len(st.votes.get(h, ())) >= info.quorum:
             self._decide(pid, h, t)
             return
-        senders = st.decision_deliveries.get(h, {})
-        if len(senders) >= evidence_threshold(len(committee)):
+        if len(st.decision_deliveries.get(h, ())) >= info.evidence:
             self._decide(pid, h, t)
 
     def _decide(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
         st.decided[h] = t
-        payload = self._payload(h)
+        info = self._height(h)
         if len(self.chain) < h:
-            self._append_block(h, payload)
-        elif self.chain.block_at(h).payload_id != payload:
+            self._append_block(h, info)
+        elif self.chain.block_at(h).payload_id != info.payload:
             raise AgreementViolation(f"conflicting decisions at height {h}")
 
-        committee = self._committee(h)
-        behavior = st.spec.behavior_at(h)
-        if pid in committee and behavior is not BehaviorKind.BYZANTINE_SILENT:
-            self._send(pid, self._everyone(), MessageKind.DECISION, h, 0, payload, t)
+        if pid in info.members and st.spec.behavior_at(h) is not BehaviorKind.BYZANTINE_SILENT:
+            self._send(pid, self._everyone, MessageKind.DECISION, h, 0, info.payload, t)
         self.queue.push(t + st.delta, ("collect", pid, h))
 
-    def _append_block(self, h: int, payload: int) -> None:
+    def _append_block(self, h: int, info: _Height) -> None:
         vector = self._pending_reward.get(h, {})
         block = Block(
             height=h,
-            committee=self._committee(h),
+            committee=info.committee,
             rewards_for=h - 1,
             reward_vector=vector,
-            payload_id=payload,
+            payload_id=info.payload,
             parent_link=self._parent_link(h),
         )
         self.chain.append(block)
         if h >= 2:
-            self.matrix.set_row(h - 1, self._committee(h - 1), vector)
+            self.matrix.set_row(h - 1, self._height(h - 1).committee, vector)
 
     def _on_collect(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
-        committee = self._committee(h)
+        info = self._height(h)
         st.to_reward[h] = collect_decisions(
-            st.decision_deliveries.get(h, {}), st.decided[h], t - st.decided[h], committee
+            st.decision_deliveries.get(h, {}), st.decided[h], t - st.decided[h], info.committee
         )
         if self._sync_omission and st.spec.behavior_at(h) is BehaviorKind.CORRECT:
             # with instant delivery, total silence over a height is a
             # detectable omission
             heard = st.any_from.get(h, set())
-            for q in committee:
+            for q in info.committee:
                 if q != pid and q not in heard:
                     self._suspect(pid, h, q, t)
-        expected = set(committee) - st.suspicion.confirmed(h)
+        expected = info.members - st.suspicion.confirmed(h)
         st.delta = update_delta(
             st.delta,
             st.to_reward[h] & expected,
@@ -450,56 +465,59 @@ class SimulationEngine:
 
     # -- main loop ----------------------------------------------------------
 
-    def _maybe_trigger_gst(self, t: SimTime) -> None:
-        m = self.model
-        if (
-            isinstance(m, EventuallySynchronous)
-            and m.gst is None
-            and m.gst_height is not None
-            and len(self.chain) >= m.gst_height - 1
-        ):
-            m.gst = t
-
-    def _done(self) -> bool:
-        if self.config.stop_mode == "drain":
-            return all(
-                self.procs[pid].height > self.max_height
-                for pid in range(self.population)
-                if self._is_always_correct_until(pid, self.max_height)
-            ) and len(self.chain) >= self.max_height
-        return len(self.chain) >= self.max_height + 1
-
-    def _is_always_correct_until(self, pid: ProcessId, h: int) -> bool:
-        spec = self.specs[pid]
-        return all(spec.behavior_at(x) is BehaviorKind.CORRECT for x in range(1, h + 1))
-
     def run(self) -> RunResult:
-        self._maybe_trigger_gst(0)
+        model = self.model
+        # an eventually synchronous model without a GST tick gets one when
+        # the chain reaches the height before gst_height
+        gst_pending = (
+            isinstance(model, EventuallySynchronous) and model.gst is None and model.gst_height is not None
+        )
+        blocks = self.chain.blocks
+        max_height = self.max_height
+        if self.config.stop_mode == "drain":
+            # every process correct at all heights up to max_height must finish it
+            stop_len = max_height
+            watched = [
+                st
+                for st in self.procs.values()
+                if all(st.spec.behavior_at(x) is BehaviorKind.CORRECT for x in range(1, max_height + 1))
+            ]
+        else:
+            # the block after max_height carries max_height's rewards
+            stop_len = max_height + 1
+            watched = []
+
+        if gst_pending and len(blocks) >= model.gst_height - 1:
+            model.gst = 0
+            gst_pending = False
         for pid in range(self.population):
             self.queue.push(0, ("start", pid, 1))
-        finished_at = 0
+        pop = self.queue.pop
+        on_msg, on_start, on_round, on_collect = self._on_msg, self._start_height, self._on_round, self._on_collect
         while True:
             try:
-                t, event = self.queue.pop()
+                t, event = pop()
             except ExhaustedQueue:
                 finished_at = self.queue.clock
                 break
             kind = event[0]
             if kind == "msg":
-                self._on_msg(event[1], t)
+                on_msg(event[1], t)
             elif kind == "start":
-                self._start_height(event[1], event[2], t)
+                on_start(event[1], event[2], t)
             elif kind == "round":
-                self._on_round(event[1], event[2], event[3], t)
+                on_round(event[1], event[2], event[3], t)
             elif kind == "collect":
-                self._on_collect(event[1], event[2], t)
-            self._maybe_trigger_gst(t)
-            if self._done():
+                on_collect(event[1], event[2], t)
+            if gst_pending and len(blocks) >= model.gst_height - 1:
+                model.gst = t
+                gst_pending = False
+            if len(blocks) >= stop_len and all(st.height > max_height for st in watched):
                 finished_at = t
                 break
         return RunResult(
             chain=self.chain,
-            committees=dict(self._committees),
+            committees={h: info.committee for h, info in self._heights.items()},
             matrix=self.matrix,
             to_reward={pid: dict(st.to_reward) for pid, st in self.procs.items()},
             decided_at={pid: dict(st.decided) for pid, st in self.procs.items()},

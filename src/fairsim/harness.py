@@ -134,10 +134,14 @@ def parse_scenario(doc: dict) -> Scenario:
             raise ScenarioError("population.merits", "merits must sum to 1")
 
     stakes_doc = pop.get("stakes", 100)
-    if isinstance(stakes_doc, int):
+    if isinstance(stakes_doc, dict):
+        stakes = _per_process(stakes_doc, "population.stakes", size)
+    elif type(stakes_doc) is int and stakes_doc >= 0:
         stakes = {pid: stakes_doc for pid in range(size)}
     else:
-        stakes = {int(k): int(v) for k, v in stakes_doc.items()}
+        raise ScenarioError(
+            "population.stakes", "must be a non-negative integer or a {process id: non-negative integer} mapping"
+        )
 
     behaviors: Dict[int, Dict[int, BehaviorKind]] = {pid: {} for pid in range(size)}
     for i, b in enumerate(pop.get("behaviors", [])):
@@ -178,7 +182,7 @@ def parse_scenario(doc: dict) -> Scenario:
         reward_per_member=gen.get("reward_per_member", 1),
     )
 
-    model = _parse_network(_require(doc, "network", ""))
+    model = _parse_network(_require(doc, "network", ""), size)
 
     eng = doc.get("engine", {})
     engine = EngineConfig(
@@ -227,11 +231,23 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def _ticks(net: dict, key: str) -> int:
-    value = _require(net, key, "network")
+def _ticks(obj: dict, key: str, path: str = "network", default: Optional[int] = None) -> int:
+    """The non-negative integer ``obj[key]``, or ``default`` when it is absent."""
+    value = _require(obj, key, path) if default is None else obj.get(key, default)
     if type(value) is not int or value < 0:
-        raise ScenarioError(f"network.{key}", "must be a non-negative integer")
+        raise ScenarioError(f"{path}.{key}", "must be a non-negative integer")
     return value
+
+
+def _per_process(obj: dict, path: str, size: int) -> Dict[ProcessId, int]:
+    """A ``{process id: non-negative integer}`` mapping; JSON keys are strings."""
+    out = {}
+    for key in obj:
+        pid = str(key)
+        if not (pid.isdecimal() and int(pid) < size):
+            raise ScenarioError(path, f"{key!r} is not a process id in [0, {size})")
+        out[int(pid)] = _ticks(obj, key, path)
+    return out
 
 
 def _delay_range(net: dict, key: str, default: Optional[list] = None) -> tuple:
@@ -246,20 +262,23 @@ def _delay_range(net: dict, key: str, default: Optional[list] = None) -> tuple:
     return tuple(value)
 
 
-def _parse_network(net: dict):
+def _parse_network(net: dict, size: int):
     kind = _require(net, "model", "network")
     if kind == "synchronous":
-        return Synchronous(delay=net.get("delay", 0))
+        return Synchronous(delay=_ticks(net, "delay", default=0))
     if kind == "good_bad":
         good_len, bad_len = _ticks(net, "good_len"), _ticks(net, "bad_len")
         if good_len + bad_len == 0:
             raise ScenarioError("network.bad_len", "good_len + bad_len must be positive")
+        laggards = net.get("laggards", {})
+        if not isinstance(laggards, dict):
+            raise ScenarioError("network.laggards", "must be a {process id: ticks} mapping")
         return GoodBad(
             good_len=good_len,
             bad_len=bad_len,
             good_delay_bound=_ticks(net, "good_delay_bound"),
             bad_delay_range=_delay_range(net, "bad_delay_range"),
-            laggards={int(k): int(v) for k, v in net.get("laggards", {}).items()},
+            laggards=_per_process(laggards, "network.laggards", size),
         )
     if kind == "eventually_synchronous":
         gst = net.get("gst")
@@ -275,9 +294,9 @@ def _parse_network(net: dict):
     if kind == "asynchronous":
         return Asynchronous(
             base_delay_range=_delay_range(net, "base_delay_range", [0, 3]),
-            burst_every_heights=net.get("burst_every_heights", 8),
-            burst_initial=net.get("burst_initial", 50),
-            burst_growth=net.get("burst_growth", 2),
+            burst_every_heights=_ticks(net, "burst_every_heights", default=8),
+            burst_initial=_ticks(net, "burst_initial", default=50),
+            burst_growth=_ticks(net, "burst_growth", default=2),
         )
     raise ScenarioError("network.model", f"unknown model {kind!r}")
 

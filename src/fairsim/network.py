@@ -78,9 +78,6 @@ class EventuallySynchronous:
     gst: Optional[SimTime] = None
     gst_height: Optional[int] = None
 
-    def gst_active(self, t: SimTime) -> bool:
-        return self.gst is not None and t >= self.gst
-
 
 @dataclass
 class Asynchronous:
@@ -106,32 +103,52 @@ class Asynchronous:
 NetworkModel = object  # one of the four dataclasses above
 
 
+def _synchronous_delay(model: Synchronous, msg: Message, rng: random.Random) -> SimTime:
+    return msg.sent_at + model.delay
+
+
+def _good_bad_delay(model: GoodBad, msg: Message, rng: random.Random) -> SimTime:
+    t = msg.sent_at
+    if model.in_good_period(t):
+        delay = rng.randint(0, model.good_delay_bound)
+    else:
+        lo, hi = model.bad_delay_range
+        delay = rng.randint(lo, hi)
+    return t + delay + model.laggards.get(msg.sender, 0)
+
+
+def _eventually_synchronous_delay(model: EventuallySynchronous, msg: Message, rng: random.Random) -> SimTime:
+    t = msg.sent_at
+    if model.gst is not None and t >= model.gst:
+        return t + rng.randint(0, model.post_gst_bound)
+    lo, hi = model.pre_gst_delay_range
+    return t + rng.randint(lo, hi)
+
+
+def _asynchronous_delay(model: Asynchronous, msg: Message, rng: random.Random) -> SimTime:
+    lo, hi = model.base_delay_range
+    delay = rng.randint(lo, hi)
+    if msg.kind is MessageKind.DECISION:
+        burst = model.burst_delay(msg.height)
+        if burst is not None:
+            delay += burst
+    return msg.sent_at + delay
+
+
+_DRAW = {
+    Synchronous: _synchronous_delay,
+    GoodBad: _good_bad_delay,
+    EventuallySynchronous: _eventually_synchronous_delay,
+    Asynchronous: _asynchronous_delay,
+}
+
+
 def assign_delay(model: NetworkModel, msg: Message, rng: random.Random) -> SimTime:
     """Return ``deliver_at`` for a message whose ``sent_at`` is set."""
-    t = msg.sent_at
-    if isinstance(model, Synchronous):
-        return t + model.delay
-    if isinstance(model, GoodBad):
-        if model.in_good_period(t):
-            delay = rng.randint(0, model.good_delay_bound)
-        else:
-            lo, hi = model.bad_delay_range
-            delay = rng.randint(lo, hi)
-        delay += model.laggards.get(msg.sender, 0)
-        return t + delay
-    if isinstance(model, EventuallySynchronous):
-        if model.gst_active(t):
-            return t + rng.randint(0, model.post_gst_bound)
-        lo, hi = model.pre_gst_delay_range
-        return t + rng.randint(lo, hi)
-    if isinstance(model, Asynchronous):
-        lo, hi = model.base_delay_range
-        delay = rng.randint(lo, hi)
-        burst = model.burst_delay(msg.height)
-        if burst is not None and msg.kind is MessageKind.DECISION:
-            delay += burst
-        return t + delay
-    raise TypeError(f"unknown network model: {model!r}")
+    draw = _DRAW.get(type(model))
+    if draw is None:
+        raise TypeError(f"unknown network model: {model!r}")
+    return draw(model, msg, rng)
 
 
 class ExhaustedQueue(Exception):

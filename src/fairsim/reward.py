@@ -10,7 +10,7 @@ within floor((n-1)/3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from .core import ProcessId, RewardMechanismId
 
@@ -63,21 +63,17 @@ class RewardMatrix:
 
 @dataclass
 class SuspicionState:
-    """Accusations delivered to one process, keyed by (height, suspect)."""
+    """Accusations delivered to one process: height -> suspect -> accusers."""
 
     n: int
-    accusers: Dict[Tuple[int, ProcessId], Set[ProcessId]] = field(default_factory=dict)
+    accusers: Dict[int, Dict[ProcessId, Set[ProcessId]]] = field(default_factory=dict)
 
     def accuse(self, height: int, suspect: ProcessId, accuser: ProcessId) -> None:
-        self.accusers.setdefault((height, suspect), set()).add(accuser)
+        self.accusers.setdefault(height, {}).setdefault(suspect, set()).add(accuser)
 
     def confirmed(self, height: int) -> Set[ProcessId]:
         quorum = suspicion_quorum(self.n)
-        return {
-            suspect
-            for (h, suspect), accs in self.accusers.items()
-            if h == height and len(accs) >= quorum
-        }
+        return {suspect for suspect, accs in self.accusers.get(height, {}).items() if len(accs) >= quorum}
 
 
 def allocate(

@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,8 @@ from fairsim.harness import (
     run_scenario,
 )
 from fairsim.scenarios import builtin_scenario, sync_suspicion_equivocator
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _doc(**overrides):
@@ -176,13 +180,17 @@ def test_matrix_from_chain_reconstruction(tmp_path):
         assert matrix.rewarded(h) == rr.result.matrix.rewarded(h)
 
 
+def _files(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     sc = parse_scenario(_doc(replications=3))
-    serial = run_scenario(sc)
-    parallel = run_scenario(sc, jobs=2)
-    for a, b in zip(serial.replications, parallel.replications):
-        assert a.report.to_json() == b.report.to_json()
-        assert a.result.decided_at == b.result.decided_at
+    run_scenario(sc, out_dir=str(tmp_path / "serial"))
+    run_scenario(sc, out_dir=str(tmp_path / "parallel"), jobs=2)
+    serial = _files(tmp_path / "serial")
+    assert "chain-002.jsonl" in serial
+    assert _files(tmp_path / "parallel") == serial
 
 
 # -- command line -----------------------------------------------------------
@@ -240,11 +248,16 @@ _NETWORKS = {
         "pre_gst_delay_range": [5, 30],
     },
     "asynchronous": {"model": "asynchronous"},
+    "synchronous": {"model": "synchronous"},
 }
 
 
 def _network(model, **fields):
     return lambda doc: doc.update(network={**_NETWORKS[model], **fields})
+
+
+def _stakes(value):
+    return lambda doc: doc["population"].update(stakes=value)
 
 
 def _over_byzantine_bound(doc):
@@ -269,6 +282,20 @@ def _over_byzantine_bound(doc):
         ("network.post_gst_bound", _network("eventually_synchronous", post_gst_bound=-3)),
         ("network.pre_gst_delay_range", _network("eventually_synchronous", pre_gst_delay_range=[30, 5])),
         ("network.base_delay_range", _network("asynchronous", base_delay_range=[-1, 3])),
+        ("population.stakes", _stakes([1, 2, 3, 4])),
+        ("population.stakes", _stakes(-1)),
+        ("population.stakes.2", _stakes({"0": 5, "2": -1})),
+        ("population.stakes.1", _stakes({"1": "7"})),
+        ("population.stakes", _stakes({"a": 1})),
+        ("population.stakes", _stakes({"4": 1})),
+        ("network.delay", _network("synchronous", delay=-2)),
+        ("network.delay", _network("synchronous", delay=1.5)),
+        ("network.laggards", _network("good_bad", laggards=[3])),
+        ("network.laggards.3", _network("good_bad", laggards={"3": -4})),
+        ("network.laggards", _network("good_bad", laggards={"-1": 4})),
+        ("network.burst_initial", _network("asynchronous", burst_initial=-1)),
+        ("network.burst_growth", _network("asynchronous", burst_growth="2")),
+        ("network.burst_every_heights", _network("asynchronous", burst_every_heights=-8)),
     ],
 )
 def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
@@ -281,6 +308,28 @@ def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["field"] == field
+
+
+def test_cli_unreachable_quorum_fails_naming_the_height(tmp_path):
+    # processes 1 and 2 are silent at height 3, so only 2 of the 4 members
+    # can vote there and a decision needs 3; without the check the run
+    # re-arms its round timers forever
+    doc = _doc(max_height=10)
+    doc["population"]["behaviors"] += [{"process": p, "kind": "silent", "heights": [3]} for p in (1, 2)]
+    doc["engine"]["allow_quorum_violation"] = True
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairsim.cli", "run", "--scenario", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["field"] == "population.behaviors"
+    assert error["message"].startswith("height 3:")
 
 
 def test_cli_unknown_figure(tmp_path, capsys):

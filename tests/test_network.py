@@ -116,3 +116,51 @@ def test_async_burst_hits_decisions_only():
     assert assign_delay(model, _msg(MessageKind.DECISION, height=8), rng) == 360
     assert assign_delay(model, _msg(MessageKind.VOTE, height=8), rng) == 0
     assert assign_delay(model, _msg(MessageKind.DECISION, height=9), rng) == 0
+
+
+def test_assign_delay_rejects_unknown_model():
+    with pytest.raises(TypeError):
+        assign_delay(object(), _msg(), random.Random(0))
+
+
+def _reference_delay(model, msg, rng):
+    """The delay rule of every model, written out in one place."""
+    t = msg.sent_at
+    if isinstance(model, Synchronous):
+        return t + model.delay
+    if isinstance(model, GoodBad):
+        if (t % (model.good_len + model.bad_len)) < model.good_len:
+            delay = rng.randint(0, model.good_delay_bound)
+        else:
+            delay = rng.randint(*model.bad_delay_range)
+        return t + delay + model.laggards.get(msg.sender, 0)
+    if isinstance(model, EventuallySynchronous):
+        if model.gst is not None and t >= model.gst:
+            return t + rng.randint(0, model.post_gst_bound)
+        return t + rng.randint(*model.pre_gst_delay_range)
+    delay = rng.randint(*model.base_delay_range)
+    k = model.burst_every_heights
+    if msg.kind is MessageKind.DECISION and k > 0 and msg.height % k == 0:
+        delay += model.burst_initial * model.burst_growth ** (msg.height // k)
+    return t + delay
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Synchronous(delay=3),
+        GoodBad(good_len=10, bad_len=5, good_delay_bound=2, bad_delay_range=(4, 9), laggards={3: 7}),
+        EventuallySynchronous(post_gst_bound=8, pre_gst_delay_range=(20, 60), gst=300),
+        Asynchronous(base_delay_range=(0, 3), burst_every_heights=4, burst_initial=50, burst_growth=2),
+    ],
+    ids=["synchronous", "good_bad", "eventually_synchronous", "asynchronous"],
+)
+def test_assign_delay_matches_reference_stream(model):
+    kinds = list(MessageKind)
+    msgs = [
+        _msg(kinds[i % len(kinds)], sender=i % 5, height=1 + i % 9, sent_at=i * 7)
+        for i in range(200)
+    ]
+    got, want = random.Random(11), random.Random(11)
+    assert [assign_delay(model, m, got) for m in msgs] == [_reference_delay(model, m, want) for m in msgs]
+    assert got.getstate() == want.getstate()

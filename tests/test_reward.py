@@ -89,3 +89,18 @@ def test_allocate_tendermint_rewards_collected_members_only():
 def test_allocate_suspicion_subtracts_confirmed():
     a = _alloc(R.SUSPICION_QUORUM, to_reward={0, 1, 2, 3}, incorrect={2})
     assert a == {0: 2, 1: 2, 3: 2}
+
+
+def test_suspicion_state_confirmed_is_per_height():
+    s = SuspicionState(n=4)  # quorum 3
+    for accuser in (0, 1, 3):
+        s.accuse(2, suspect=1, accuser=accuser)  # confirmed at height 2
+        s.accuse(3, suspect=2, accuser=accuser)  # confirmed at height 3
+    s.accuse(3, suspect=0, accuser=1)
+    s.accuse(3, suspect=0, accuser=2)  # one accuser short at height 3
+    for accuser in (0, 2, 3):
+        s.accuse(4, suspect=0, accuser=accuser)  # confirmed at height 4
+    assert s.confirmed(2) == {1}
+    assert s.confirmed(3) == {2}
+    assert s.confirmed(4) == {0}
+    assert s.confirmed(1) == set()
