@@ -48,7 +48,7 @@ from .selection import SelectionState
 
 
 class QuorumImpossible(Exception):
-    """A committee carries more Byzantine members than consensus tolerates."""
+    """A committee at some height cannot decide safely or at all."""
 
 
 class AgreementViolation(Exception):
@@ -69,28 +69,24 @@ def max_byzantine(n: int) -> int:
     return (n - 1) // 3
 
 
-def check_byzantine_bound(committee: Sequence[ProcessSpec], h: int) -> None:
-    """Raise QuorumImpossible when more members of ``committee`` misbehave at
-    height ``h`` than consensus tolerates."""
-    byz = sum(1 for s in committee if s.behavior_at(h) is not BehaviorKind.CORRECT)
-    limit = max_byzantine(len(committee))
-    if byz > limit:
-        raise QuorumImpossible(
-            f"height {h}: {byz} Byzantine members in a committee of {len(committee)};"
-            f" at most {limit} tolerated"
-        )
-
-
-def check_quorum_reachable(committee: Sequence[ProcessSpec], h: int) -> None:
-    """Raise QuorumImpossible when fewer members of ``committee`` are correct
-    at height ``h`` than a decision needs: only correct members send valid
-    votes, so the height could never be decided."""
+def check_committee(committee: Sequence[ProcessSpec], h: int, allow_quorum_violation: bool = False) -> None:
+    """Raise QuorumImpossible when too few members of ``committee`` are
+    correct at height ``h``: more misbehave than consensus tolerates or, under
+    ``allow_quorum_violation``, fewer are correct than a decision needs (only
+    correct members send valid votes, so the height could never be decided)."""
+    n = len(committee)
     correct = sum(1 for s in committee if s.behavior_at(h) is BehaviorKind.CORRECT)
-    quorum = quorum_size(len(committee))
-    if correct < quorum:
+    if not allow_quorum_violation:
+        limit = max_byzantine(n)
+        if n - correct > limit:
+            raise QuorumImpossible(
+                f"height {h}: {n - correct} Byzantine members in a committee of {n};"
+                f" at most {limit} tolerated"
+            )
+    elif correct < quorum_size(n):
         raise QuorumImpossible(
-            f"height {h}: only {correct} of {len(committee)} committee members are correct;"
-            f" a decision needs {quorum}"
+            f"height {h}: only {correct} of {n} committee members are correct;"
+            f" a decision needs {quorum_size(n)}"
         )
 
 
@@ -258,10 +254,7 @@ class SimulationEngine:
                 self._sel_applied += 1
             committee = self._sel_state.committee(h, self.genesis.selection)
         specs = [self.specs[pid] for pid in committee]
-        if not self.config.allow_quorum_violation:
-            check_byzantine_bound(specs, h)
-        else:
-            check_quorum_reachable(specs, h)
+        check_committee(specs, h, self.config.allow_quorum_violation)
         # a height starts only once block h-1 is on the chain, so its valid
         # payload is fixed from here on
         info = _Height(committee, payload_for_height(h, self._parent_link(h)))

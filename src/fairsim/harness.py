@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_byzantine_bound
+from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_committee
 from .core import (
     BehaviorKind,
     Blockchain,
@@ -209,7 +209,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if size == n and not engine.allow_quorum_violation:
         try:
             for h in range(1, max_height + 2):
-                check_byzantine_bound(specs, h)
+                check_committee(specs, h)
         except QuorumImpossible as exc:
             raise ScenarioError("population.behaviors", str(exc)) from None
 
@@ -241,6 +241,8 @@ def _ticks(obj: dict, key: str, path: str = "network", default: Optional[int] = 
 
 def _per_process(obj: dict, path: str, size: int) -> Dict[ProcessId, int]:
     """A ``{process id: non-negative integer}`` mapping; JSON keys are strings."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(path, "must be a {process id: non-negative integer} mapping")
     out = {}
     for key in obj:
         pid = str(key)
@@ -270,15 +272,12 @@ def _parse_network(net: dict, size: int):
         good_len, bad_len = _ticks(net, "good_len"), _ticks(net, "bad_len")
         if good_len + bad_len == 0:
             raise ScenarioError("network.bad_len", "good_len + bad_len must be positive")
-        laggards = net.get("laggards", {})
-        if not isinstance(laggards, dict):
-            raise ScenarioError("network.laggards", "must be a {process id: ticks} mapping")
         return GoodBad(
             good_len=good_len,
             bad_len=bad_len,
             good_delay_bound=_ticks(net, "good_delay_bound"),
             bad_delay_range=_delay_range(net, "bad_delay_range"),
-            laggards=_per_process(laggards, "network.laggards", size),
+            laggards=_per_process(net.get("laggards", {}), "network.laggards", size),
         )
     if kind == "eventually_synchronous":
         gst = net.get("gst")

@@ -186,8 +186,10 @@ def _files(out_dir):
 
 def test_parallel_jobs_match_serial(tmp_path):
     sc = parse_scenario(_doc(replications=3))
-    run_scenario(sc, out_dir=str(tmp_path / "serial"))
-    run_scenario(sc, out_dir=str(tmp_path / "parallel"), jobs=2)
+    serial_res = run_scenario(sc, out_dir=str(tmp_path / "serial"))
+    parallel_res = run_scenario(sc, out_dir=str(tmp_path / "parallel"), jobs=2)
+    for a, b in zip(serial_res.replications, parallel_res.replications, strict=True):
+        assert a.result.decided_at == b.result.decided_at
     serial = _files(tmp_path / "serial")
     assert "chain-002.jsonl" in serial
     assert _files(tmp_path / "parallel") == serial
