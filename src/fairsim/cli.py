@@ -130,7 +130,8 @@ def main(argv=None) -> int:
         print(json.dumps(exc.to_json()), file=sys.stderr)
         return 2
     except QuorumImpossible as exc:
-        # a selected committee holds more Byzantine members than consensus tolerates
+        # a selected committee holds more Byzantine members than consensus
+        # tolerates, or too few correct members ever to reach quorum
         print(json.dumps(ScenarioError("population.behaviors", str(exc)).to_json()), file=sys.stderr)
         return 2
     except UnknownFigure as exc:

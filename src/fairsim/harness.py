@@ -185,11 +185,20 @@ def parse_scenario(doc: dict) -> Scenario:
     model = _parse_network(_require(doc, "network", ""), size)
 
     eng = doc.get("engine", {})
+    if not isinstance(eng, dict):
+        raise ScenarioError("engine", "must be an object")
+    round_ticks = _ticks(eng, "round_ticks", "engine", 100)
+    if round_ticks < 1:
+        # a round timer of 0 re-arms at the same tick forever
+        raise ScenarioError("engine.round_ticks", "must be a positive integer")
+    allow_quorum_violation = eng.get("allow_quorum_violation", False)
+    if type(allow_quorum_violation) is not bool:
+        raise ScenarioError("engine.allow_quorum_violation", "must be true or false")
     engine = EngineConfig(
-        delta0=eng.get("delta0", 5),
-        delta_increment=eng.get("delta_increment", 5),
-        round_ticks=eng.get("round_ticks", 100),
-        allow_quorum_violation=eng.get("allow_quorum_violation", False),
+        delta0=_ticks(eng, "delta0", "engine", 5),
+        delta_increment=_ticks(eng, "delta_increment", "engine", 5),
+        round_ticks=round_ticks,
+        allow_quorum_violation=allow_quorum_violation,
     )
 
     ana = doc.get("analyzer", {})
@@ -231,9 +240,17 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def _ticks(obj: dict, key: str, path: str = "network", default: Optional[int] = None) -> int:
-    """The non-negative integer ``obj[key]``, or ``default`` when it is absent."""
-    value = _require(obj, key, path) if default is None else obj.get(key, default)
+_REQUIRED = object()
+
+
+def _ticks(obj: dict, key: str, path: str = "network", default=_REQUIRED) -> Optional[int]:
+    """The non-negative integer ``obj[key]``, or ``default`` when it is absent.
+
+    Without a ``default`` the field is required.
+    """
+    if key not in obj and default is not _REQUIRED:
+        return default
+    value = _require(obj, key, path)
     if type(value) is not int or value < 0:
         raise ScenarioError(f"{path}.{key}", "must be a non-negative integer")
     return value
@@ -280,8 +297,8 @@ def _parse_network(net: dict, size: int):
             laggards=_per_process(net.get("laggards", {}), "network.laggards", size),
         )
     if kind == "eventually_synchronous":
-        gst = net.get("gst")
-        gst_height = net.get("gst_height")
+        gst = _ticks(net, "gst", default=None)
+        gst_height = _ticks(net, "gst_height", default=None)
         if gst is None and gst_height is None:
             raise ScenarioError("network", "eventually_synchronous needs gst or gst_height")
         return EventuallySynchronous(

@@ -8,7 +8,6 @@ checked against each other in the test suite.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -56,13 +55,14 @@ class SelectionState:
             return list(range(N))
         if mech is SelectionMechanismId.ROUND_ROBIN:
             return [((height - 1) * n + j) % N for j in range(n)]
+        # ties go to the lower process id: the sort is stable over range(N),
+        # and reverse=True keeps equal keys in their original order
         if mech is SelectionMechanismId.HIGHEST_STAKE:
-            # ties go to the lower process id
-            return heapq.nsmallest(n, range(N), key=lambda p: (-self.stakes[p], p))
+            return sorted(range(N), key=self.stakes.__getitem__, reverse=True)[:n]
         if mech is SelectionMechanismId.LOWEST_STAKE:
-            return heapq.nsmallest(n, range(N), key=lambda p: (self.stakes[p], p))
+            return sorted(range(N), key=self.stakes.__getitem__)[:n]
         if mech is SelectionMechanismId.FEWEST_SELECTIONS:
-            return heapq.nsmallest(n, range(N), key=lambda p: (self.counts[p], p))
+            return sorted(range(N), key=self.counts.__getitem__)[:n]
         raise SelectionError(f"unknown selection mechanism: {mech}")
 
 

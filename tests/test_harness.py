@@ -262,6 +262,35 @@ def _stakes(value):
     return lambda doc: doc["population"].update(stakes=value)
 
 
+def _engine(**fields):
+    return lambda doc: doc.setdefault("engine", {}).update(fields)
+
+
+# fields whose unchecked value makes the run loop forever; their cases run
+# the CLI in a subprocess, so that a regression fails on the timeout
+_HANGS_WITHOUT_CHECK = {"engine.round_ticks"}
+
+
+def _cli_subprocess(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairsim.cli", *args], capture_output=True, text=True, timeout=60, env=env,
+    )
+    return proc.returncode, proc.stderr
+
+
+def _evsync_without_gst(doc):
+    _network("eventually_synchronous")(doc)
+    del doc["network"]["gst_height"]
+
+
+def _stalled_rounds(doc):
+    # before GST no height decides within one tick, so a round timer of 0
+    # re-arms at the same tick forever
+    _network("eventually_synchronous")(doc)
+    doc["engine"]["round_ticks"] = 0
+
+
 def _over_byzantine_bound(doc):
     # highest-stake selection puts both silent processes on every committee of 4
     doc["population"] = {
@@ -298,6 +327,18 @@ def _over_byzantine_bound(doc):
         ("network.burst_initial", _network("asynchronous", burst_initial=-1)),
         ("network.burst_growth", _network("asynchronous", burst_growth="2")),
         ("network.burst_every_heights", _network("asynchronous", burst_every_heights=-8)),
+        ("network.gst", _network("eventually_synchronous", gst=-1)),
+        ("network.gst_height", _network("eventually_synchronous", gst_height="x")),
+        ("network.gst_height", _network("eventually_synchronous", gst_height=2.5)),
+        ("network.gst_height", _network("eventually_synchronous", gst_height=None)),
+        ("network", _evsync_without_gst),
+        ("engine", lambda doc: doc.update(engine=5)),
+        ("engine.round_ticks", _stalled_rounds),
+        ("engine.round_ticks", _engine(round_ticks=-100)),
+        ("engine.delta0", _engine(delta0=-3)),
+        ("engine.delta_increment", _engine(delta_increment="5")),
+        ("engine.allow_quorum_violation", _engine(allow_quorum_violation="yes")),
+        ("engine.allow_quorum_violation", _engine(allow_quorum_violation=1)),
     ],
 )
 def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
@@ -305,9 +346,13 @@ def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    rc = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    args = ["run", "--scenario", str(path), "--out", str(tmp_path / "o")]
+    if field in _HANGS_WITHOUT_CHECK:
+        rc, err = _cli_subprocess(args)
+    else:
+        rc, err = cli_main(args), capsys.readouterr().err
     assert rc == 2
-    lines = capsys.readouterr().err.strip().splitlines()
+    lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["field"] == field
 
@@ -321,13 +366,9 @@ def test_cli_unreachable_quorum_fails_naming_the_height(tmp_path):
     doc["engine"]["allow_quorum_violation"] = True
     path = tmp_path / "stuck.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairsim.cli", "run", "--scenario", str(path), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 2
-    lines = proc.stderr.strip().splitlines()
+    rc, err = _cli_subprocess(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    lines = err.strip().splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
     assert error["field"] == "population.behaviors"

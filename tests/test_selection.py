@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -121,6 +122,30 @@ def test_committee_shape_invariants(seed, n):
         assert len(committee) == n
         assert len(set(committee)) == n
         assert all(0 <= pid < population for pid in committee)
+
+
+@st.composite
+def _tied_population(draw):
+    population = draw(st.integers(min_value=1, max_value=30))
+    values = st.lists(st.integers(min_value=0, max_value=3), min_size=population, max_size=population)
+    return draw(values), draw(values), draw(st.integers(min_value=1, max_value=population))
+
+
+@given(_tied_population())
+@settings(max_examples=300, deadline=None)
+def test_ranked_committees_match_nsmallest_reference(case):
+    # reference ranking: smallest (key, process id) first, so ties go to
+    # the lower process id
+    stakes, counts, n = case
+    N = len(stakes)
+    st_ = _state(stakes, n=n, counts=counts)
+    reference = {
+        S.HIGHEST_STAKE: lambda p: (-stakes[p], p),
+        S.LOWEST_STAKE: lambda p: (stakes[p], p),
+        S.FEWEST_SELECTIONS: lambda p: (counts[p], p),
+    }
+    for mech, key in reference.items():
+        assert st_.committee(1, mech) == heapq.nsmallest(n, range(N), key=key), mech
 
 
 def test_tally_max_gap_counts_tail():
