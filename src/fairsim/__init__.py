@@ -11,9 +11,9 @@ from .core import (
     SelectionMechanismId,
     TimeoutPolicy,
 )
-from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, run_height
+from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine
 from .fairness import Classification, FairnessReport, GroundTruth, build_report, classify, grade_height
-from .harness import Scenario, ScenarioError, load_scenario, parse_scenario, run_scenario
+from .harness import Scenario, ScenarioError, parse_scenario, run_scenario
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
 from .reward import RewardMatrix, SuspicionState, allocate, suspicion_quorum
 from .selection import SelectionState, check_selection_fairness, run_selection_experiment, select
@@ -48,9 +48,7 @@ __all__ = [
     "check_selection_fairness",
     "classify",
     "grade_height",
-    "load_scenario",
     "parse_scenario",
-    "run_height",
     "run_scenario",
     "run_selection_experiment",
     "select",

@@ -27,8 +27,6 @@ from .core import (
     GenesisConfig,
     ProcessId,
     ProcessSpec,
-    RewardMechanismId,
-    SelectionMechanismId,
     TimeoutPolicy,
     payload_for_height,
     simulated_hash,
@@ -43,7 +41,7 @@ from .network import (
     EventuallySynchronous,
     assign_delay,
 )
-from .reward import RewardMatrix, SuspicionState, allocate
+from .reward import RewardMatrix, SuspicionState, allocate, matrix_from_chain
 from .selection import SelectionState
 
 
@@ -123,19 +121,6 @@ class EngineConfig:
     round_ticks: int = 100
     allow_quorum_violation: bool = False
     record_trace: bool = False
-    # "chain": stop once the block after max_height is appended (rewards for
-    # every graded height are then final). "drain": additionally let every
-    # correct process finish max_height, for liveness checks.
-    stop_mode: str = "chain"
-
-
-@dataclass
-class ConsensusOutcome:
-    height: int
-    payload_id: int
-    decided_at: Dict[ProcessId, SimTime]
-    decision_deliveries: Dict[ProcessId, Dict[ProcessId, SimTime]]
-    to_reward: Dict[ProcessId, Set[ProcessId]]
 
 
 @dataclass
@@ -145,14 +130,12 @@ class RunResult:
     matrix: RewardMatrix
     to_reward: Dict[ProcessId, Dict[int, Set[ProcessId]]]
     decided_at: Dict[ProcessId, Dict[int, SimTime]]
-    final_deltas: Dict[ProcessId, int]
     trace: List[dict]
     finished_at: SimTime
 
 
 class _Proc:
     __slots__ = (
-        "pid",
         "spec",
         "height",
         "delta",
@@ -169,7 +152,6 @@ class _Proc:
     )
 
     def __init__(self, spec: ProcessSpec, delta0: int, n: int) -> None:
-        self.pid = spec.id
         self.spec = spec
         self.height = 0
         self.delta = delta0
@@ -213,7 +195,6 @@ class SimulationEngine:
         max_height: int,
         seed: int,
         config: EngineConfig = None,
-        committee_override: Dict[int, List[ProcessId]] = None,
     ) -> None:
         self.specs = {s.id: s for s in specs}
         self.genesis = genesis
@@ -221,12 +202,10 @@ class SimulationEngine:
         self.max_height = max_height
         self.rng = random.Random(seed)
         self.config = config or EngineConfig()
-        self.committee_override = committee_override or {}
 
         self.population = genesis.population
         self.n = genesis.n
         self.chain = Blockchain(genesis=genesis)
-        self.matrix = RewardMatrix()
         self.queue = EventQueue()
         self.procs = {pid: _Proc(self.specs[pid], self.config.delta0, self.n) for pid in range(self.population)}
         self.trace: List[dict] = []
@@ -244,15 +223,12 @@ class SimulationEngine:
         info = self._heights.get(h)
         if info is not None:
             return info
-        if h in self.committee_override:
-            committee = list(self.committee_override[h])
-        else:
-            if len(self.chain) < h - 1:
-                raise RuntimeError(f"committee for height {h} requested too early")
-            while self._sel_applied < h - 1:
-                self._sel_state.apply_block(self.chain.blocks[self._sel_applied])
-                self._sel_applied += 1
-            committee = self._sel_state.committee(h, self.genesis.selection)
+        if len(self.chain) < h - 1:
+            raise RuntimeError(f"committee for height {h} requested too early")
+        while self._sel_applied < h - 1:
+            self._sel_state.apply_block(self.chain.blocks[self._sel_applied])
+            self._sel_applied += 1
+        committee = self._sel_state.committee(h, self.genesis.selection)
         specs = [self.specs[pid] for pid in committee]
         check_committee(specs, h, self.config.allow_quorum_violation)
         # a height starts only once block h-1 is on the chain, so its valid
@@ -270,7 +246,6 @@ class SimulationEngine:
         recipients: Sequence[ProcessId],
         kind: MessageKind,
         h: int,
-        r: int,
         payload: int,
         t: SimTime,
     ) -> None:
@@ -278,8 +253,8 @@ class SimulationEngine:
         model, rng, push = self.model, self.rng, self.queue.push
         trace = self.trace if self.config.record_trace else None
         for rcpt in recipients:
-            msg = Message(sender, rcpt, h, r, kind, payload, t)
-            msg.deliver_at = at = t if rcpt == sender else assign_delay(model, msg, rng)
+            msg = Message(sender, rcpt, h, kind, payload, t)
+            at = t if rcpt == sender else assign_delay(model, msg, rng)
             push(at, ("msg", msg))
             if trace is not None:
                 trace.append(
@@ -304,21 +279,21 @@ class SimulationEngine:
             self._on_round(pid, h, 0, t)
         self._check_progress(pid, h, t)
 
-    def _propose(self, pid: ProcessId, h: int, r: int, t: SimTime) -> None:
+    def _propose(self, pid: ProcessId, h: int, t: SimTime) -> None:
         # the first correct proposal of a height fixes the rewards its block carries
         if h not in self._pending_reward:
             self._pending_reward[h] = self._reward_proposal(pid, h)
         info = self._height(h)
-        self._send(pid, info.order, MessageKind.PROPOSE, h, r, info.payload, t)
+        self._send(pid, info.order, MessageKind.PROPOSE, h, info.payload, t)
 
-    def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, r: int, t: SimTime) -> None:
+    def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, t: SimTime) -> None:
         """Send one bogus payload to the lower half of the other members and
         another to the upper half."""
         info = self._height(h)
         peers = [q for q in info.order if q != pid]
         half = len(peers) // 2
-        self._send(pid, peers[:half], kind, h, r, info.payload + _BOGUS_A, t)
-        self._send(pid, peers[half:], kind, h, r, info.payload + _BOGUS_B, t)
+        self._send(pid, peers[:half], kind, h, info.payload + _BOGUS_A, t)
+        self._send(pid, peers[half:], kind, h, info.payload + _BOGUS_B, t)
 
     def _reward_proposal(self, pid: ProcessId, h: int) -> Dict[ProcessId, int]:
         prev = h - 1
@@ -341,9 +316,9 @@ class SimulationEngine:
         if order[r % len(order)] == pid:
             behavior = st.spec.behavior_at(h)
             if behavior is BehaviorKind.CORRECT:
-                self._propose(pid, h, r, t)
+                self._propose(pid, h, t)
             elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE:
-                self._equivocate(pid, MessageKind.PROPOSE, h, r, t)
+                self._equivocate(pid, MessageKind.PROPOSE, h, t)
         self.queue.push(t + self.config.round_ticks, ("round", pid, h, r + 1))
 
     # -- message handling ---------------------------------------------------
@@ -382,7 +357,7 @@ class SimulationEngine:
         st.accused.add((h, suspect))
         st.suspicion.accuse(h, suspect, pid)
         others = [q for q in self._everyone if q != pid]
-        self._send(pid, others, MessageKind.SUSPICION, h, 0, suspect, t)
+        self._send(pid, others, MessageKind.SUSPICION, h, suspect, t)
 
     def _check_progress(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
@@ -395,10 +370,10 @@ class SimulationEngine:
             behavior = st.spec.behavior_at(h)
             if behavior is BehaviorKind.CORRECT and h not in st.voted:
                 st.voted.add(h)
-                self._send(pid, info.order, MessageKind.VOTE, h, 0, info.payload, t)
+                self._send(pid, info.order, MessageKind.VOTE, h, info.payload, t)
             elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE and h not in st.equivocated:
                 st.equivocated.add(h)
-                self._equivocate(pid, MessageKind.VOTE, h, 0, t)
+                self._equivocate(pid, MessageKind.VOTE, h, t)
 
         if member and len(st.votes.get(h, ())) >= info.quorum:
             self._decide(pid, h, t)
@@ -416,22 +391,19 @@ class SimulationEngine:
             raise AgreementViolation(f"conflicting decisions at height {h}")
 
         if pid in info.members and st.spec.behavior_at(h) is not BehaviorKind.BYZANTINE_SILENT:
-            self._send(pid, self._everyone, MessageKind.DECISION, h, 0, info.payload, t)
+            self._send(pid, self._everyone, MessageKind.DECISION, h, info.payload, t)
         self.queue.push(t + st.delta, ("collect", pid, h))
 
     def _append_block(self, h: int, info: _Height) -> None:
-        vector = self._pending_reward.get(h, {})
         block = Block(
             height=h,
             committee=info.committee,
             rewards_for=h - 1,
-            reward_vector=vector,
+            reward_vector=self._pending_reward.get(h, {}),
             payload_id=info.payload,
             parent_link=self._parent_link(h),
         )
         self.chain.append(block)
-        if h >= 2:
-            self.matrix.set_row(h - 1, self._height(h - 1).committee, vector)
 
     def _on_collect(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
@@ -466,20 +438,8 @@ class SimulationEngine:
             isinstance(model, EventuallySynchronous) and model.gst is None and model.gst_height is not None
         )
         blocks = self.chain.blocks
-        max_height = self.max_height
-        if self.config.stop_mode == "drain":
-            # every process correct at all heights up to max_height must finish it
-            stop_len = max_height
-            watched = [
-                st
-                for st in self.procs.values()
-                if all(st.spec.behavior_at(x) is BehaviorKind.CORRECT for x in range(1, max_height + 1))
-            ]
-        else:
-            # the block after max_height carries max_height's rewards
-            stop_len = max_height + 1
-            watched = []
-
+        # the block after max_height carries max_height's rewards
+        stop_len = self.max_height + 1
         if gst_pending and len(blocks) >= model.gst_height - 1:
             model.gst = 0
             gst_pending = False
@@ -505,70 +465,17 @@ class SimulationEngine:
             if gst_pending and len(blocks) >= model.gst_height - 1:
                 model.gst = t
                 gst_pending = False
-            if len(blocks) >= stop_len and all(st.height > max_height for st in watched):
+            if len(blocks) >= stop_len:
                 finished_at = t
                 break
+        matrix, committees = matrix_from_chain(self.chain)
         return RunResult(
             chain=self.chain,
-            committees={h: info.committee for h, info in self._heights.items()},
-            matrix=self.matrix,
+            committees=committees,
+            matrix=matrix,
             to_reward={pid: dict(st.to_reward) for pid, st in self.procs.items()},
             decided_at={pid: dict(st.decided) for pid, st in self.procs.items()},
-            final_deltas={pid: st.delta for pid, st in self.procs.items()},
             trace=self.trace,
             finished_at=finished_at,
         )
 
-
-def run_height(
-    height: int,
-    committee: Sequence[ProcessId],
-    model,
-    behaviors: Dict[ProcessId, BehaviorKind],
-    population: int = None,
-    delta: int = 5,
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Run a single height with a fixed committee and report who decided
-    what, when, and what each process collected."""
-    if population is None:
-        population = max(committee) + 1
-    specs = [
-        ProcessSpec(
-            id=pid,
-            merit=0,
-            initial_stake=0,
-            behavior={height: behaviors.get(pid, BehaviorKind.CORRECT)} if pid in behaviors else {},
-        )
-        for pid in range(population)
-    ]
-    genesis = GenesisConfig(
-        n=len(committee),
-        population=population,
-        selection=SelectionMechanismId.SELECT_ALL,
-        reward=RewardMechanismId.REWARD_ALL_COMMITTEE,
-        initial_stakes={pid: 0 for pid in range(population)},
-    )
-    if height != 1:
-        raise ValueError("single-height runs start from a fresh chain (height 1)")
-    engine = SimulationEngine(
-        specs,
-        genesis,
-        model,
-        max_height=1,
-        seed=seed,
-        config=EngineConfig(delta0=delta, stop_mode="drain"),
-        committee_override={1: list(committee), 2: list(committee)},
-    )
-    result = engine.run()
-    block = result.chain.block_at(1)
-    return ConsensusOutcome(
-        height=1,
-        payload_id=block.payload_id,
-        decided_at={pid: ts[1] for pid, ts in result.decided_at.items() if 1 in ts},
-        decision_deliveries={
-            pid: dict(engine.procs[pid].decision_deliveries.get(1, {}))
-            for pid in range(population)
-        },
-        to_reward={pid: tr.get(1, set()) for pid, tr in result.to_reward.items()},
-    )

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_committee
 from .core import (
     BehaviorKind,
-    Blockchain,
     GenesisConfig,
     ProcessId,
     ProcessSpec,
@@ -34,7 +33,7 @@ from .core import (
 )
 from .fairness import FairnessReport, GroundTruth, build_report
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
-from .reward import RewardMatrix
+from .reward import RewardMatrix, matrix_from_chain
 from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
@@ -53,13 +52,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class AnalyzerOptions:
-    stabilization_window: Optional[int] = None  # defaults to max_height // 2
-    selection_window: int = 20
-    selection_slack: Optional[int] = None
-
-
-@dataclass
 class Scenario:
     name: str
     specs: List[ProcessSpec]
@@ -69,14 +61,8 @@ class Scenario:
     seed: int
     replications: int
     engine: EngineConfig
-    analyzer: AnalyzerOptions
+    window: int  # stabilization window of the fairness analyzer
     raw: dict = field(default_factory=dict)
-
-    @property
-    def window(self) -> int:
-        if self.analyzer.stabilization_window is not None:
-            return self.analyzer.stabilization_window
-        return max(1, self.max_height // 2)
 
 
 # -- scenario parsing --------------------------------------------------------
@@ -95,15 +81,13 @@ def _heights_matching(spec, max_height: int, path: str) -> List[int]:
     if spec == "odd":
         return list(range(1, max_height + 2, 2))
     if isinstance(spec, list):
-        return [int(h) for h in spec]
+        return [_int(h, path) for h in spec]
     if isinstance(spec, dict):
         if "mod" in spec:
-            m, r = int(spec["mod"]), int(spec.get("rem", 0))
-            if m < 1:
-                raise ScenarioError(path, f"mod must be a positive integer, got {m}")
+            m, r = _int(spec["mod"], path, lo=1), _int(spec.get("rem", 0), path)
             return [h for h in range(1, max_height + 2) if h % m == r]
         if "from" in spec:
-            return list(range(int(spec["from"]), int(spec.get("to", max_height + 1)) + 1))
+            return list(range(_int(spec["from"], path), _int(spec.get("to", max_height + 1), path) + 1))
     raise ScenarioError(path, f"unrecognized heights specifier: {spec!r}")
 
 
@@ -114,21 +98,21 @@ def parse_scenario(doc: dict) -> Scenario:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}")
     name = doc.get("name", "scenario")
-    max_height = _require(doc, "max_height", "")
-    if not isinstance(max_height, int) or max_height < 1:
-        raise ScenarioError("max_height", "must be a positive integer")
+    max_height = _int(_require(doc, "max_height", ""), "max_height", lo=1)
 
     pop = _require(doc, "population", "")
-    size = _require(pop, "size", "population")
-    if not isinstance(size, int) or size < 1:
-        raise ScenarioError("population.size", "must be a positive integer")
+    size = _int(_require(pop, "size", "population"), "population.size", lo=1)
 
     merits_doc = pop.get("merits")
     if merits_doc is None:
         merits = {pid: Fraction(1, size) for pid in range(size)}
     else:
-        if len(merits_doc) != size:
-            raise ScenarioError("population.merits", f"expected {size} entries")
+        if not (
+            isinstance(merits_doc, list)
+            and len(merits_doc) == size
+            and all(type(m) in (int, float) and math.isfinite(m) for m in merits_doc)
+        ):
+            raise ScenarioError("population.merits", f"must be a list of {size} numbers")
         merits = {pid: Fraction(m).limit_denominator(10**9) for pid, m in enumerate(merits_doc)}
         if sum(merits.values()) != 1:
             raise ScenarioError("population.merits", "merits must sum to 1")
@@ -146,9 +130,7 @@ def parse_scenario(doc: dict) -> Scenario:
     behaviors: Dict[int, Dict[int, BehaviorKind]] = {pid: {} for pid in range(size)}
     for i, b in enumerate(pop.get("behaviors", [])):
         path = f"population.behaviors[{i}]"
-        pid = _require(b, "process", path)
-        if not 0 <= pid < size:
-            raise ScenarioError(f"{path}.process", f"process id {pid} out of range")
+        pid = _int(_require(b, "process", path), f"{path}.process", 0, size - 1)
         kind_name = _require(b, "kind", path)
         if kind_name not in _BEHAVIOR_NAMES:
             raise ScenarioError(f"{path}.kind", f"unknown behavior {kind_name!r}")
@@ -157,18 +139,10 @@ def parse_scenario(doc: dict) -> Scenario:
             behaviors[pid][h] = kind
 
     gen = _require(doc, "genesis", "")
-    n = _require(gen, "committee_size", "genesis")
-    if not isinstance(n, int) or not 1 <= n <= size:
-        raise ScenarioError("genesis.committee_size", f"must be in [1, {size}]")
-    try:
-        selection = SelectionMechanismId(_require(gen, "selection", "genesis"))
-    except ValueError as exc:
-        raise ScenarioError("genesis.selection", str(exc)) from None
-    try:
-        reward = RewardMechanismId(_require(gen, "reward", "genesis"))
-    except ValueError as exc:
-        raise ScenarioError("genesis.reward", str(exc)) from None
-    policy = TimeoutPolicy(gen.get("timeout_policy", "fixed"))
+    n = _int(_require(gen, "committee_size", "genesis"), "genesis.committee_size", 1, size)
+    selection = _enum(SelectionMechanismId, gen, "selection", "genesis")
+    reward = _enum(RewardMechanismId, gen, "reward", "genesis")
+    policy = _enum(TimeoutPolicy, gen, "timeout_policy", "genesis", "fixed")
     if selection is SelectionMechanismId.SELECT_ALL and n != size:
         raise ScenarioError("genesis.selection", "select_all requires committee_size == population.size")
 
@@ -179,7 +153,7 @@ def parse_scenario(doc: dict) -> Scenario:
         reward=reward,
         timeout_policy=policy,
         initial_stakes=stakes,
-        reward_per_member=gen.get("reward_per_member", 1),
+        reward_per_member=_ticks(gen, "reward_per_member", "genesis", 1),
     )
 
     model = _parse_network(_require(doc, "network", ""), size)
@@ -187,25 +161,25 @@ def parse_scenario(doc: dict) -> Scenario:
     eng = doc.get("engine", {})
     if not isinstance(eng, dict):
         raise ScenarioError("engine", "must be an object")
-    round_ticks = _ticks(eng, "round_ticks", "engine", 100)
-    if round_ticks < 1:
-        # a round timer of 0 re-arms at the same tick forever
-        raise ScenarioError("engine.round_ticks", "must be a positive integer")
     allow_quorum_violation = eng.get("allow_quorum_violation", False)
     if type(allow_quorum_violation) is not bool:
         raise ScenarioError("engine.allow_quorum_violation", "must be true or false")
     engine = EngineConfig(
         delta0=_ticks(eng, "delta0", "engine", 5),
         delta_increment=_ticks(eng, "delta_increment", "engine", 5),
-        round_ticks=round_ticks,
+        # a round timer of 0 re-arms at the same tick forever
+        round_ticks=_int(eng.get("round_ticks", 100), "engine.round_ticks", lo=1),
         allow_quorum_violation=allow_quorum_violation,
     )
 
     ana = doc.get("analyzer", {})
-    analyzer = AnalyzerOptions(
-        stabilization_window=ana.get("stabilization_window"),
-        selection_window=ana.get("selection_window", 20),
-        selection_slack=ana.get("selection_slack"),
+    if not isinstance(ana, dict):
+        raise ScenarioError("analyzer", "must be an object")
+    for key in ana:
+        if key != "stabilization_window":
+            raise ScenarioError(f"analyzer.{key}", "unknown field; analyzer takes only stabilization_window")
+    window = _int(
+        ana.get("stabilization_window", max(1, max_height // 2)), "analyzer.stabilization_window", 1, max_height
     )
 
     specs = [
@@ -222,25 +196,42 @@ def parse_scenario(doc: dict) -> Scenario:
         except QuorumImpossible as exc:
             raise ScenarioError("population.behaviors", str(exc)) from None
 
-    replications = doc.get("replications", 1)
-    if not isinstance(replications, int) or replications < 1:
-        raise ScenarioError("replications", "must be a positive integer")
-
     return Scenario(
         name=name,
         specs=specs,
         genesis=genesis,
         model=model,
         max_height=max_height,
-        seed=doc.get("seed", 0),
-        replications=replications,
+        seed=_int(doc.get("seed", 0), "seed"),
+        replications=_int(doc.get("replications", 1), "replications", lo=1),
         engine=engine,
-        analyzer=analyzer,
+        window=window,
         raw=doc,
     )
 
 
 _REQUIRED = object()
+
+
+def _int(value, path: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """``value`` when it is an integer in ``[lo, hi]``; a bound left out is open."""
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    if lo is None:
+        want = "an integer"
+    elif hi is None:
+        want = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+    else:
+        want = f"an integer in [{lo}, {hi}]"
+    raise ScenarioError(path, f"must be {want}, got {value!r}")
+
+
+def _enum(cls, obj: dict, key: str, path: str, default=_REQUIRED):
+    """The ``cls`` member whose value is ``obj[key]``, or ``default``'s when it is absent."""
+    try:
+        return cls(_require(obj, key, path) if default is _REQUIRED else obj.get(key, default))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.{key}", str(exc)) from None
 
 
 def _ticks(obj: dict, key: str, path: str = "network", default=_REQUIRED) -> Optional[int]:
@@ -250,10 +241,7 @@ def _ticks(obj: dict, key: str, path: str = "network", default=_REQUIRED) -> Opt
     """
     if key not in obj and default is not _REQUIRED:
         return default
-    value = _require(obj, key, path)
-    if type(value) is not int or value < 0:
-        raise ScenarioError(f"{path}.{key}", "must be a non-negative integer")
-    return value
+    return _int(_require(obj, key, path), f"{path}.{key}", lo=0)
 
 
 def _per_process(obj: dict, path: str, size: int) -> Dict[ProcessId, int]:
@@ -315,11 +303,6 @@ def _parse_network(net: dict, size: int):
             burst_growth=_ticks(net, "burst_growth", default=2),
         )
     raise ScenarioError("network.model", f"unknown model {kind!r}")
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(json.load(fh))
 
 
 # -- running -----------------------------------------------------------------
@@ -522,12 +505,3 @@ def regrade_output_dir(out_dir: str) -> dict:
     matches = regraded == stored["replications"]
     return {"matches_stored": matches, "replications": regraded}
 
-
-def matrix_from_chain(chain: Blockchain):
-    """Reward matrix and committee map implied by a serialized chain."""
-    matrix = RewardMatrix()
-    committees = {b.height: list(b.committee) for b in chain.blocks}
-    for block in chain.blocks:
-        if block.height >= 2:
-            matrix.set_row(block.height - 1, committees[block.height - 1], block.reward_vector)
-    return matrix, committees

@@ -29,11 +29,9 @@ class Message:
     sender: int
     recipient: int
     height: int
-    round: int
     kind: MessageKind
     payload: int  # payload_id, or the suspect id for suspicion messages
     sent_at: SimTime = 0
-    deliver_at: SimTime = 0
 
 
 @dataclass
@@ -144,7 +142,7 @@ _DRAW = {
 
 
 def assign_delay(model: NetworkModel, msg: Message, rng: random.Random) -> SimTime:
-    """Return ``deliver_at`` for a message whose ``sent_at`` is set."""
+    """Delivery tick of ``msg``, drawn from its ``sent_at``."""
     draw = _DRAW.get(type(model))
     if draw is None:
         raise TypeError(f"unknown network model: {model!r}")

@@ -1,5 +1,5 @@
 """Reward mechanisms: the allocation rule of each mechanism, suspicion-quorum
-detection, and the write-once reward matrix.
+detection, and the write-once reward matrix a chain implies.
 
 Rewards for height h are carried by the block at height h+1 and never
 change afterwards. A committee member of h is confirmed misbehaving once
@@ -10,9 +10,9 @@ within floor((n-1)/3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .core import ProcessId, RewardMechanismId
+from .core import Blockchain, ProcessId, RewardMechanismId
 
 
 def suspicion_quorum(n: int) -> int:
@@ -59,6 +59,17 @@ class RewardMatrix:
         if height not in self._rows:
             raise RewardsNotYetAllocated(height)
         return {pid for pid, amt in self._rows[height].items() if amt > 0}
+
+
+def matrix_from_chain(chain: Blockchain) -> Tuple[RewardMatrix, Dict[int, List[ProcessId]]]:
+    """Reward matrix and committee map implied by a chain: the block at h+1
+    writes row h for the committee of h."""
+    matrix = RewardMatrix()
+    committees = {b.height: b.committee for b in chain.blocks}
+    for block in chain.blocks:
+        if block.height >= 2:
+            matrix.set_row(block.height - 1, committees[block.height - 1], block.reward_vector)
+    return matrix, committees
 
 
 @dataclass

@@ -7,7 +7,6 @@ from fairsim.consensus import (
     evidence_threshold,
     max_byzantine,
     quorum_size,
-    run_height,
     update_delta,
 )
 from fairsim.core import (
@@ -53,39 +52,6 @@ def test_collect_decisions_window_and_membership():
     assert collect_decisions(deliveries, decided_at=10, delta=5, committee=[0, 1, 2]) == {0, 1}
 
 
-def _sync_outcome(behaviors=None, delta=5):
-    return run_height(
-        height=1,
-        committee=[0, 1, 2, 3],
-        model=Synchronous(delay=0),
-        behaviors=behaviors or {},
-        delta=delta,
-    )
-
-
-def test_single_height_all_correct():
-    out = _sync_outcome()
-    # instant delivery: everyone decides at the starting tick
-    assert set(out.decided_at) == {0, 1, 2, 3}
-    assert set(out.decided_at.values()) == {0}
-    for pid in range(4):
-        assert out.to_reward[pid] == {0, 1, 2, 3}
-
-
-def test_single_height_silent_member():
-    out = _sync_outcome({3: BehaviorKind.BYZANTINE_SILENT})
-    assert set(out.decided_at) == {0, 1, 2, 3}
-    for pid in (0, 1, 2):
-        # the silent member's decision message never arrives
-        assert out.to_reward[pid] == {0, 1, 2}
-
-
-def test_single_height_decision_only_still_collected():
-    out = _sync_outcome({3: BehaviorKind.BYZANTINE_DECISION_ONLY})
-    for pid in (0, 1, 2):
-        assert 3 in out.to_reward[pid]
-
-
 def _specs(population, behaviors=None):
     behaviors = behaviors or {}
     return [
@@ -105,16 +71,39 @@ def _genesis(reward=RewardMechanismId.SUSPICION_QUORUM, policy=TimeoutPolicy.FIX
     )
 
 
-def _run(behaviors=None, max_height=10, seed=0, reward=RewardMechanismId.SUSPICION_QUORUM):
+def _run(behaviors=None, max_height=10, seed=0, reward=RewardMechanismId.SUSPICION_QUORUM, delta=2):
     engine = SimulationEngine(
         specs=_specs(4, behaviors),
         genesis=_genesis(reward),
         model=Synchronous(delay=0),
         max_height=max_height,
         seed=seed,
-        config=EngineConfig(delta0=2),
+        config=EngineConfig(delta0=delta),
     )
     return engine.run()
+
+
+def test_single_height_all_correct():
+    res = _run(max_height=1, delta=5)
+    # instant delivery: everyone decides at the starting tick
+    assert {pid for pid, ts in res.decided_at.items() if 1 in ts} == {0, 1, 2, 3}
+    assert {ts[1] for ts in res.decided_at.values()} == {0}
+    for pid in range(4):
+        assert res.to_reward[pid][1] == {0, 1, 2, 3}
+
+
+def test_single_height_silent_member():
+    res = _run({3: {1: BehaviorKind.BYZANTINE_SILENT}}, max_height=1, delta=5)
+    assert {pid for pid, ts in res.decided_at.items() if 1 in ts} == {0, 1, 2, 3}
+    for pid in (0, 1, 2):
+        # the silent member's decision message never arrives
+        assert res.to_reward[pid][1] == {0, 1, 2}
+
+
+def test_single_height_decision_only_still_collected():
+    res = _run({3: {1: BehaviorKind.BYZANTINE_DECISION_ONLY}}, max_height=1, delta=5)
+    for pid in (0, 1, 2):
+        assert 3 in res.to_reward[pid][1]
 
 
 def test_multi_height_chain_is_valid_and_complete():

@@ -1,5 +1,5 @@
-import copy
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,13 +8,9 @@ import sys
 import pytest
 
 from fairsim.cli import main as cli_main
-from fairsim.harness import (
-    ScenarioError,
-    matrix_from_chain,
-    parse_scenario,
-    regrade_output_dir,
-    run_scenario,
-)
+from fairsim.core import chain_from_jsonl, chain_to_jsonl
+from fairsim.harness import ScenarioError, parse_scenario, regrade_output_dir, run_scenario
+from fairsim.reward import matrix_from_chain
 from fairsim.scenarios import builtin_scenario, sync_suspicion_equivocator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -174,14 +170,32 @@ def test_matrix_from_chain_reconstruction(tmp_path):
     sc = parse_scenario(_doc())
     res = run_scenario(sc)
     rr = res.replications[0]
-    matrix, committees = matrix_from_chain(rr.result.chain)
+    # the matrix rebuilt from the serialized chain is the one the run graded
+    matrix, committees = matrix_from_chain(chain_from_jsonl(chain_to_jsonl(rr.result.chain)))
     assert matrix.heights() == rr.result.matrix.heights()
+    assert committees == rr.result.committees
     for h in matrix.heights():
         assert matrix.rewarded(h) == rr.result.matrix.rewarded(h)
+        for pid in committees[h]:
+            assert matrix.amount(h, pid) == rr.result.matrix.amount(h, pid)
 
 
 def _files(out_dir):
     return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+# sha256 of trace-000.jsonl from `fairsim run --builtin evsync-tendermint-fixed --trace`
+_EVSYNC_FIXED_TRACE_SHA256 = "dae380fe09c90b0a2f60f914185ec06764d662fd8f972d0d1183d3e67fd77ed3"
+
+
+def test_trace_is_pinned_and_leaves_other_outputs_unchanged(tmp_path, capsys):
+    args = ["run", "--builtin", "evsync-tendermint-fixed", "--out"]
+    assert cli_main(args + [str(tmp_path / "plain")]) == 0
+    assert cli_main(args + [str(tmp_path / "traced"), "--trace"]) == 0
+    traced = _files(tmp_path / "traced")
+    trace = traced.pop("trace-000.jsonl")
+    assert traced == _files(tmp_path / "plain")
+    assert hashlib.sha256(trace).hexdigest() == _EVSYNC_FIXED_TRACE_SHA256
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -266,6 +280,14 @@ def _engine(**fields):
     return lambda doc: doc.setdefault("engine", {}).update(fields)
 
 
+def _genesis(**fields):
+    return lambda doc: doc["genesis"].update(fields)
+
+
+def _analyzer(**fields):
+    return lambda doc: doc.setdefault("analyzer", {}).update(fields)
+
+
 # fields whose unchecked value makes the run loop forever; their cases run
 # the CLI in a subprocess, so that a regression fails on the timeout
 _HANGS_WITHOUT_CHECK = {"engine.round_ticks"}
@@ -339,6 +361,19 @@ def _over_byzantine_bound(doc):
         ("engine.delta_increment", _engine(delta_increment="5")),
         ("engine.allow_quorum_violation", _engine(allow_quorum_violation="yes")),
         ("engine.allow_quorum_violation", _engine(allow_quorum_violation=1)),
+        ("seed", lambda doc: doc.update(seed="x")),
+        ("genesis.reward_per_member", _genesis(reward_per_member="x")),
+        ("genesis.reward_per_member", _genesis(reward_per_member=-1)),
+        ("genesis.timeout_policy", _genesis(timeout_policy="weird")),
+        ("analyzer.stabilization_window", _analyzer(stabilization_window="x")),
+        ("analyzer.stabilization_window", _analyzer(stabilization_window=-4)),
+        ("analyzer.stabilization_window", _analyzer(stabilization_window=99)),
+        ("analyzer.selection_window", _analyzer(selection_window="x")),
+        ("population.behaviors[0].process",
+         lambda doc: doc["population"]["behaviors"][0].update(process="1")),
+        ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
+        ("population.behaviors[0].heights",
+         lambda doc: doc["population"]["behaviors"][0].update(heights=["a"])),
     ],
 )
 def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):

@@ -18,9 +18,7 @@ from fairsim.network import (
 
 
 def _msg(kind=MessageKind.VOTE, sender=0, height=1, sent_at=0):
-    return Message(
-        sender=sender, recipient=1, height=height, round=0, kind=kind, payload=0, sent_at=sent_at
-    )
+    return Message(sender=sender, recipient=1, height=height, kind=kind, payload=0, sent_at=sent_at)
 
 
 def test_queue_orders_by_time_then_fifo():
