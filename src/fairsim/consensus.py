@@ -273,8 +273,6 @@ class SimulationEngine:
     def _start_height(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
         st.height = h
-        if h > self.max_height + 1:
-            return
         if pid in self._height(h).members:
             self._on_round(pid, h, 0, t)
         self._check_progress(pid, h, t)
