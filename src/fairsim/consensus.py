@@ -16,7 +16,7 @@ the messages around decisions, which this preserves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .core import (
@@ -120,7 +120,6 @@ class EngineConfig:
     delta_increment: int = 5
     round_ticks: int = 100
     allow_quorum_violation: bool = False
-    record_trace: bool = False
 
 
 @dataclass
@@ -195,6 +194,7 @@ class SimulationEngine:
         max_height: int,
         seed: int,
         config: EngineConfig = None,
+        record_trace: bool = False,
     ) -> None:
         self.specs = {s.id: s for s in specs}
         self.genesis = genesis
@@ -202,6 +202,7 @@ class SimulationEngine:
         self.max_height = max_height
         self.rng = random.Random(seed)
         self.config = config or EngineConfig()
+        self.record_trace = record_trace
 
         self.population = genesis.population
         self.n = genesis.n
@@ -251,7 +252,7 @@ class SimulationEngine:
     ) -> None:
         """Send one message to each of ``recipients``, which are sorted."""
         model, rng, push = self.model, self.rng, self.queue.push
-        trace = self.trace if self.config.record_trace else None
+        trace = self.trace if self.record_trace else None
         for rcpt in recipients:
             msg = Message(sender, rcpt, h, kind, payload, t)
             at = t if rcpt == sender else assign_delay(model, msg, rng)
@@ -430,8 +431,8 @@ class SimulationEngine:
 
     def run(self) -> RunResult:
         model = self.model
-        # an eventually synchronous model without a GST tick gets one when
-        # the chain reaches the height before gst_height
+        # an eventually synchronous model without a GST tick is swapped for a
+        # copy with one when the chain reaches the height before gst_height
         gst_pending = (
             isinstance(model, EventuallySynchronous) and model.gst is None and model.gst_height is not None
         )
@@ -439,7 +440,7 @@ class SimulationEngine:
         # the block after max_height carries max_height's rewards
         stop_len = self.max_height + 1
         if gst_pending and len(blocks) >= model.gst_height - 1:
-            model.gst = 0
+            self.model = replace(model, gst=0)
             gst_pending = False
         for pid in range(self.population):
             self.queue.push(0, ("start", pid, 1))
@@ -461,7 +462,7 @@ class SimulationEngine:
             elif kind == "collect":
                 on_collect(event[1], event[2], t)
             if gst_pending and len(blocks) >= model.gst_height - 1:
-                model.gst = t
+                self.model = replace(model, gst=t)
                 gst_pending = False
             if len(blocks) >= stop_len:
                 finished_at = t

@@ -8,7 +8,6 @@ per replication into the output directory.
 """
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -68,6 +67,8 @@ class Scenario:
 # -- scenario parsing --------------------------------------------------------
 
 def _require(obj: dict, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise ScenarioError(path, "must be an object")
     if key not in obj:
         raise ScenarioError(f"{path}.{key}", "missing required field")
     return obj[key]
@@ -89,9 +90,6 @@ def _heights_matching(spec, max_height: int, path: str) -> List[int]:
         if "from" in spec:
             return list(range(_int(spec["from"], path), _int(spec.get("to", max_height + 1), path) + 1))
     raise ScenarioError(path, f"unrecognized heights specifier: {spec!r}")
-
-
-_BEHAVIOR_NAMES = {k.value: k for k in BehaviorKind}
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -128,13 +126,13 @@ def parse_scenario(doc: dict) -> Scenario:
         )
 
     behaviors: Dict[int, Dict[int, BehaviorKind]] = {pid: {} for pid in range(size)}
-    for i, b in enumerate(pop.get("behaviors", [])):
+    behaviors_doc = pop.get("behaviors", [])
+    if not isinstance(behaviors_doc, list):
+        raise ScenarioError("population.behaviors", "must be a list")
+    for i, b in enumerate(behaviors_doc):
         path = f"population.behaviors[{i}]"
         pid = _int(_require(b, "process", path), f"{path}.process", 0, size - 1)
-        kind_name = _require(b, "kind", path)
-        if kind_name not in _BEHAVIOR_NAMES:
-            raise ScenarioError(f"{path}.kind", f"unknown behavior {kind_name!r}")
-        kind = _BEHAVIOR_NAMES[kind_name]
+        kind = _enum(BehaviorKind, b, "kind", path)
         for h in _heights_matching(_require(b, "heights", path), max_height, f"{path}.heights"):
             behaviors[pid][h] = kind
 
@@ -344,15 +342,14 @@ def _grade(scenario: Scenario, matrix: RewardMatrix, committees: Dict[int, List[
 
 
 def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) -> ReplicationResult:
-    config = copy.copy(scenario.engine)
-    config.record_trace = record_trace
     engine = SimulationEngine(
         specs=scenario.specs,
         genesis=scenario.genesis,
-        model=copy.deepcopy(scenario.model),
+        model=scenario.model,
         max_height=scenario.max_height,
         seed=scenario.seed ^ rep,
-        config=config,
+        config=scenario.engine,
+        record_trace=record_trace,
     )
     result = engine.run()
     return ReplicationResult(index=rep, result=result, report=_grade(scenario, result.matrix, result.committees))

@@ -7,12 +7,11 @@ time (GST), and asynchronous with unbounded escalating delay bursts.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 SimTime = int
 
@@ -34,14 +33,14 @@ class Message:
     sent_at: SimTime = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Synchronous:
     """Every message is delivered exactly ``delay`` ticks after sending."""
 
     delay: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GoodBad:
     """Alternating good/bad periods, starting with a good one.
 
@@ -62,13 +61,14 @@ class GoodBad:
         return (t % cycle) < self.good_len
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventuallySynchronous:
     """Unbounded delays before GST, bounded by ``post_gst_bound`` after.
 
     ``gst`` may be left unset and activated later via ``gst_height``: the
-    simulation engine fixes the tick when the chain reaches the height
-    preceding it, so stabilization happens "during" that height.
+    simulation engine runs on a copy with ``gst`` set to the tick at which
+    the chain reaches the height preceding it, so stabilization happens
+    "during" that height.
     """
 
     post_gst_bound: int
@@ -77,7 +77,7 @@ class EventuallySynchronous:
     gst_height: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Asynchronous:
     """No delay bound. Calm heights draw from ``base_delay_range``; every
     ``burst_every_heights``-th height, decision messages are delayed by an
@@ -105,27 +105,49 @@ def _synchronous_delay(model: Synchronous, msg: Message, rng: random.Random) -> 
     return msg.sent_at + model.delay
 
 
+# The bounded draws below inline ``rng.randint(lo, hi)`` as CPython (3.10 and
+# later) computes it: ``lo`` plus getrandbits(k) for the bit length k of the
+# width, redrawn while out of range. They consume the same RNG stream
+# without randint's three Python frames, and a width of 1 still draws.
+
+
 def _good_bad_delay(model: GoodBad, msg: Message, rng: random.Random) -> SimTime:
     t = msg.sent_at
     if model.in_good_period(t):
-        delay = rng.randint(0, model.good_delay_bound)
+        lo, width = 0, model.good_delay_bound + 1
     else:
         lo, hi = model.bad_delay_range
-        delay = rng.randint(lo, hi)
-    return t + delay + model.laggards.get(msg.sender, 0)
+        width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return t + lo + r + model.laggards.get(msg.sender, 0)
 
 
 def _eventually_synchronous_delay(model: EventuallySynchronous, msg: Message, rng: random.Random) -> SimTime:
     t = msg.sent_at
-    if model.gst is not None and t >= model.gst:
-        return t + rng.randint(0, model.post_gst_bound)
-    lo, hi = model.pre_gst_delay_range
-    return t + rng.randint(lo, hi)
+    gst = model.gst
+    if gst is not None and t >= gst:
+        lo, width = 0, model.post_gst_bound + 1
+    else:
+        lo, hi = model.pre_gst_delay_range
+        width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return t + lo + r
 
 
 def _asynchronous_delay(model: Asynchronous, msg: Message, rng: random.Random) -> SimTime:
     lo, hi = model.base_delay_range
-    delay = rng.randint(lo, hi)
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    delay = lo + r
     if msg.kind is MessageKind.DECISION:
         burst = model.burst_delay(msg.height)
         if burst is not None:
@@ -158,24 +180,55 @@ class InvalidTimestamp(ValueError):
 
 
 class EventQueue:
-    """Min-heap of (deliver_at, seq, event); FIFO among equal timestamps."""
+    """Events in (tick, push order): a FIFO list per tick and a min-heap of
+    the distinct ticks (a calendar queue over integer time).
+
+    The list of the tick at ``clock`` is drained through one iterator, so a
+    push at ``clock`` joins the list being drained and pops after every
+    event already pushed for that tick. Every tick in the heap is later
+    than ``clock``.
+    """
+
+    __slots__ = ("clock", "_buckets", "_ticks", "_current", "_drain", "_later")
 
     def __init__(self) -> None:
-        self._heap: list = []
-        self._seq = itertools.count()
         self.clock: SimTime = 0
+        self._buckets: Dict[SimTime, list] = {}  # tick > clock -> its events
+        self._ticks: List[SimTime] = []  # heap of the keys of _buckets
+        self._current: list = []  # the events of tick ``clock``
+        self._drain = iter(self._current)
+        self._later = 0  # events in _buckets
 
     def __len__(self) -> int:
-        return len(self._heap)
+        # a list iterator's length hint is exactly the items it has left
+        return self._later + self._drain.__length_hint__()
 
     def push(self, at: SimTime, event) -> None:
+        if at == self.clock:
+            self._current.append(event)
+            return
         if at < self.clock:
             raise InvalidTimestamp(f"event at t={at} but clock is {self.clock}")
-        heapq.heappush(self._heap, (at, next(self._seq), event))
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [event]
+            heappush(self._ticks, at)
+        else:
+            bucket.append(event)
+        self._later += 1
 
     def pop(self) -> Tuple[SimTime, object]:
-        if not self._heap:
+        for event in self._drain:
+            return self.clock, event
+        if not self._ticks:
+            # an exhausted list iterator never resumes, so pushes at the
+            # clock after this go to a fresh list
+            self._current = []
+            self._drain = iter(self._current)
             raise ExhaustedQueue
-        at, _, event = heapq.heappop(self._heap)
+        at = heappop(self._ticks)
+        current = self._current = self._buckets.pop(at)
+        self._later -= len(current)
+        self._drain = drain = iter(current)
         self.clock = at
-        return at, event
+        return at, next(drain)

@@ -1,8 +1,8 @@
 """Golden output digests: the sha256 of every file a run writes.
 
-Covers the built-in scenarios, the three figures and the static mechanism
+Covers the built-in scenarios, the three figures, the static mechanism
 matrix (every reward mechanism under every network model and behaviour
-mix). A refactor that shifts the RNG stream, the event order or an output
+mix) and one wide committee. A refactor that shifts the RNG stream, the event order or an output
 format changes a digest here. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -24,6 +24,39 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 FIGURES = ("selection-highest", "selection-lowest", "ev-sync-rewards")
 
 
+def wide_committee() -> dict:
+    """N=40, n=13, eventually synchronous: hundreds of deliveries land on
+    each of a few ticks per height, so this run pins the order of events
+    that share a tick at scale (every other run has N=n=4)."""
+    return {
+        "schema_version": 1,
+        "name": "wide-committee",
+        "population": {
+            "size": 40,
+            "behaviors": [
+                {"process": 7, "kind": "equivocate", "heights": "odd"},
+                {"process": 23, "kind": "silent", "heights": {"mod": 3, "rem": 0}},
+            ],
+        },
+        "genesis": {
+            "committee_size": 13,
+            "selection": "fewest_selections",
+            "reward": "suspicion_quorum",
+            "timeout_policy": "modulable",
+        },
+        "network": {
+            "model": "eventually_synchronous",
+            "gst_height": 6,
+            "post_gst_bound": 15,
+            "pre_gst_delay_range": [10, 60],
+        },
+        "max_height": 12,
+        "seed": 5,
+        "replications": 1,
+        "engine": {"delta0": 5, "delta_increment": 5, "round_ticks": 400},
+    }
+
+
 def _runs() -> dict:
     """Run name -> CLI arguments (without --out), or a scenario document."""
     runs = {f"builtin/{name}": ["run", "--builtin", name] for name in BUILTIN}
@@ -31,6 +64,7 @@ def _runs() -> dict:
     for mech in RewardMechanismId:
         for doc in static_matrix(mech.value):
             runs[f"static/{doc['name']}"] = doc
+    runs["wide/wide-committee"] = wide_committee()
     return runs
 
 

@@ -11,7 +11,7 @@ from fairsim.cli import main as cli_main
 from fairsim.core import chain_from_jsonl, chain_to_jsonl
 from fairsim.harness import ScenarioError, parse_scenario, regrade_output_dir, run_scenario
 from fairsim.reward import matrix_from_chain
-from fairsim.scenarios import builtin_scenario, sync_suspicion_equivocator
+from fairsim.scenarios import builtin_scenario, evsync_tendermint, sync_suspicion_equivocator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -148,6 +148,19 @@ def test_replication_seeds_differ(tmp_path):
     res = run_scenario(sc)
     a, b = res.replications
     assert a.result.matrix._rows != b.result.matrix._rows
+
+
+def test_scenario_runs_twice_alike_and_keeps_its_model(tmp_path):
+    # the engine runs on its own copy of the model from GST on, so one parsed
+    # scenario can be run again in the same process
+    sc = parse_scenario(evsync_tendermint("fixed", max_height=20))
+    assert sc.model.gst is None and sc.model.gst_height == 10
+    first = run_scenario(sc, out_dir=str(tmp_path / "first"))
+    second = run_scenario(sc, out_dir=str(tmp_path / "second"))
+    assert sc.model.gst is None
+    for a, b in zip(first.replications, second.replications, strict=True):
+        assert a.result.decided_at == b.result.decided_at
+    assert _files(tmp_path / "second") == _files(tmp_path / "first")
 
 
 def test_regrade_matches(tmp_path):
@@ -374,6 +387,13 @@ def _over_byzantine_bound(doc):
         ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
         ("population.behaviors[0].heights",
          lambda doc: doc["population"]["behaviors"][0].update(heights=["a"])),
+        ("population", lambda doc: doc.update(population=5)),
+        ("genesis", lambda doc: doc.update(genesis=5)),
+        ("network", lambda doc: doc.update(network=5)),
+        ("population.behaviors", lambda doc: doc["population"].update(behaviors=5)),
+        ("population.behaviors[0]", lambda doc: doc["population"].update(behaviors=[5])),
+        ("population.behaviors[0].kind",
+         lambda doc: doc["population"]["behaviors"][0].update(kind=["x"])),
     ],
 )
 def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -43,6 +44,40 @@ def test_queue_exhaustion():
     q = EventQueue()
     with pytest.raises(ExhaustedQueue):
         q.pop()
+
+
+# push offsets from the clock: 0 schedules at the current tick (during a
+# drain when events of that tick are pending), negative ones lie in the past
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.one_of(st.just(0), st.integers(min_value=-2, max_value=6))),
+        st.just(("pop",)),
+    ),
+    max_size=80,
+)
+
+
+@given(_QUEUE_OPS)
+def test_queue_matches_reference_heap(ops):
+    """EventQueue pops what a heap of (at, push order, event) pops."""
+    q, ref, clock = EventQueue(), [], 0
+    for seq, op in enumerate(ops):
+        if op[0] == "push":
+            at = clock + op[1]
+            if at < clock:
+                with pytest.raises(InvalidTimestamp):
+                    q.push(at, seq)
+            else:
+                q.push(at, seq)
+                heapq.heappush(ref, (at, seq, seq))
+        elif ref:
+            clock, _, event = heapq.heappop(ref)
+            assert q.pop() == (clock, event)
+        else:
+            with pytest.raises(ExhaustedQueue):
+                q.pop()
+        assert q.clock == clock
+        assert len(q) == len(ref)
 
 
 def test_synchronous_fixed_delay():
@@ -150,8 +185,20 @@ def _reference_delay(model, msg, rng):
         GoodBad(good_len=10, bad_len=5, good_delay_bound=2, bad_delay_range=(4, 9), laggards={3: 7}),
         EventuallySynchronous(post_gst_bound=8, pre_gst_delay_range=(20, 60), gst=300),
         Asynchronous(base_delay_range=(0, 3), burst_every_heights=4, burst_initial=50, burst_growth=2),
+        # one-value ranges: randint still draws one bit for each
+        GoodBad(good_len=10, bad_len=5, good_delay_bound=0, bad_delay_range=(3, 3)),
+        EventuallySynchronous(post_gst_bound=0, pre_gst_delay_range=(20, 60), gst=300),
+        Asynchronous(base_delay_range=(0, 0), burst_every_heights=4, burst_initial=50, burst_growth=2),
     ],
-    ids=["synchronous", "good_bad", "eventually_synchronous", "asynchronous"],
+    ids=[
+        "synchronous",
+        "good_bad",
+        "eventually_synchronous",
+        "asynchronous",
+        "good_bad-one-value",
+        "eventually_synchronous-one-value",
+        "asynchronous-one-value",
+    ],
 )
 def test_assign_delay_matches_reference_stream(model):
     kinds = list(MessageKind)
