@@ -67,10 +67,11 @@ class Scenario:
 # -- scenario parsing --------------------------------------------------------
 
 def _require(obj: dict, key: str, path: str):
+    """``obj[key]``; ``path`` names ``obj``, and is empty for the document itself."""
     if not isinstance(obj, dict):
         raise ScenarioError(path, "must be an object")
     if key not in obj:
-        raise ScenarioError(f"{path}.{key}", "missing required field")
+        raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
     return obj[key]
 
 

@@ -218,7 +218,7 @@ class EventQueue:
         self._later += 1
 
     def pop(self) -> Tuple[SimTime, object]:
-        for event in self._drain:
+        for event in self._drain:  # the next event of tick ``clock``, if any
             return self.clock, event
         if not self._ticks:
             # an exhausted list iterator never resumes, so pushes at the

@@ -387,6 +387,7 @@ def _over_byzantine_bound(doc):
         ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
         ("population.behaviors[0].heights",
          lambda doc: doc["population"]["behaviors"][0].update(heights=["a"])),
+        ("max_height", lambda doc: doc.pop("max_height")),
         ("population", lambda doc: doc.update(population=5)),
         ("genesis", lambda doc: doc.update(genesis=5)),
         ("network", lambda doc: doc.update(network=5)),
