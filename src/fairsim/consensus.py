@@ -114,7 +114,7 @@ def collect_decisions(
     return {q for q, t in decision_deliveries.items() if q in members and t <= deadline}
 
 
-@dataclass(frozen=True)
+@dataclass
 class EngineConfig:
     delta0: int = 5
     delta_increment: int = 5
