@@ -2,8 +2,8 @@
 
 Covers the built-in scenarios, the three figures, the static mechanism
 matrix (every reward mechanism under every network model and behaviour
-mix) and one wide committee. A refactor that shifts the RNG stream, the event order or an output
-format changes a digest here. Regenerate with
+mix) and one wide committee. A refactor that shifts the RNG stream, the
+event order or an output format changes a digest here. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -24,7 +24,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 FIGURES = ("selection-highest", "selection-lowest", "ev-sync-rewards")
 
 
-def wide_committee() -> dict:
+def _wide_committee() -> dict:
     """N=40, n=13, eventually synchronous: hundreds of deliveries land on
     each of a few ticks per height, so this run pins the order of events
     that share a tick at scale (every other run has N=n=4)."""
@@ -64,7 +64,7 @@ def _runs() -> dict:
     for mech in RewardMechanismId:
         for doc in static_matrix(mech.value):
             runs[f"static/{doc['name']}"] = doc
-    runs["wide/wide-committee"] = wide_committee()
+    runs["wide/wide-committee"] = _wide_committee()
     return runs
 
 
