@@ -59,14 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if args.scenario:
-        doc = json.load(open(args.scenario, "r", encoding="utf-8"))
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     else:
         doc = builtin_scenario(args.builtin)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.reps is not None:
-        doc["replications"] = args.reps
-    scenario = parse_scenario(doc)
+    scenario = parse_scenario(doc, seed=args.seed, replications=args.reps)
     result = run_scenario(scenario, out_dir=args.out, jobs=args.jobs, record_trace=args.trace)
     labels = sorted({rr.report.classification.value for rr in result.replications})
     print(f"{scenario.name}: {len(result.replications)} replication(s), classification(s): {', '.join(labels)}")
@@ -89,10 +86,7 @@ def _cmd_figure(args) -> int:
         print(f"{args.name}: selection counts over {heights} heights written to {args.out}")
         return 0
     if args.name == "ev-sync-rewards":
-        doc = evsync_rewards_figure()
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        scenario = parse_scenario(doc)
+        scenario = parse_scenario(evsync_rewards_figure(), seed=args.seed)
         result = run_scenario(scenario, out_dir=args.out)
         rows = [["height", "mean", "mean_minus_std", "mean_plus_std"]]
         for h, (mean, std_all, _) in sorted(result.aggregate.items()):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from .core import (
     GENESIS_HASH,
@@ -43,6 +43,13 @@ from .network import (
 )
 from .reward import RewardMatrix, SuspicionState, allocate, matrix_from_chain
 from .selection import SelectionState
+
+# the enum members the handlers test, bound once: an Enum class attribute
+# lookup costs several times a module global
+_PROPOSE, _VOTE = MessageKind.PROPOSE, MessageKind.VOTE
+_DECISION, _SUSPICION = MessageKind.DECISION, MessageKind.SUSPICION
+_CORRECT, _SILENT = BehaviorKind.CORRECT, BehaviorKind.BYZANTINE_SILENT
+_EQUIVOCATE = BehaviorKind.BYZANTINE_EQUIVOCATE
 
 
 class QuorumImpossible(Exception):
@@ -73,7 +80,7 @@ def check_committee(committee: Sequence[ProcessSpec], h: int, allow_quorum_viola
     ``allow_quorum_violation``, fewer are correct than a decision needs (only
     correct members send valid votes, so the height could never be decided)."""
     n = len(committee)
-    correct = sum(1 for s in committee if s.behavior_at(h) is BehaviorKind.CORRECT)
+    correct = sum(1 for s in committee if s.behavior_at(h) is _CORRECT)
     if not allow_quorum_violation:
         limit = max_byzantine(n)
         if n - correct > limit:
@@ -106,12 +113,11 @@ def collect_decisions(
     decision_deliveries: Dict[ProcessId, SimTime],
     decided_at: SimTime,
     delta: int,
-    committee: Sequence[ProcessId],
+    committee: Collection[ProcessId],
 ) -> Set[ProcessId]:
     """Committee members whose decision arrived within the wait window."""
     deadline = decided_at + delta
-    members = set(committee)
-    return {q for q, t in decision_deliveries.items() if q in members and t <= deadline}
+    return {q for q, t in decision_deliveries.items() if q in committee and t <= deadline}
 
 
 @dataclass
@@ -250,13 +256,13 @@ class SimulationEngine:
         payload: int,
         t: SimTime,
     ) -> None:
-        """Send one message to each of ``recipients``, which are sorted."""
+        """Deliver one message, shared by all of ``recipients`` (sorted), to each of them."""
         model, rng, push = self.model, self.rng, self.queue.push
         trace = self.trace if self.record_trace else None
+        msg = Message(sender, h, kind, payload, t)
         for rcpt in recipients:
-            msg = Message(sender, rcpt, h, kind, payload, t)
             at = t if rcpt == sender else assign_delay(model, msg, rng)
-            push(at, ("msg", msg))
+            push(at, ("msg", msg, rcpt))
             if trace is not None:
                 trace.append(
                     {
@@ -274,16 +280,17 @@ class SimulationEngine:
     def _start_height(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
         st.height = h
-        if pid in self._height(h).members:
+        info = self._height(h)
+        if pid in info.members:
             self._on_round(pid, h, 0, t)
-        self._check_progress(pid, h, t)
+        self._check_progress(pid, h, info, t)
 
     def _propose(self, pid: ProcessId, h: int, t: SimTime) -> None:
         # the first correct proposal of a height fixes the rewards its block carries
         if h not in self._pending_reward:
             self._pending_reward[h] = self._reward_proposal(pid, h)
         info = self._height(h)
-        self._send(pid, info.order, MessageKind.PROPOSE, h, info.payload, t)
+        self._send(pid, info.order, _PROPOSE, h, info.payload, t)
 
     def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, t: SimTime) -> None:
         """Send one bogus payload to the lower half of the other members and
@@ -314,65 +321,64 @@ class SimulationEngine:
         order = self._height(h).order
         if order[r % len(order)] == pid:
             behavior = st.spec.behavior_at(h)
-            if behavior is BehaviorKind.CORRECT:
+            if behavior is _CORRECT:
                 self._propose(pid, h, t)
-            elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE:
-                self._equivocate(pid, MessageKind.PROPOSE, h, t)
+            elif behavior is _EQUIVOCATE:
+                self._equivocate(pid, _PROPOSE, h, t)
         self.queue.push(t + self.config.round_ticks, ("round", pid, h, r + 1))
 
     # -- message handling ---------------------------------------------------
 
-    def _on_msg(self, msg: Message, t: SimTime) -> None:
-        pid = msg.recipient
+    def _on_msg(self, msg: Message, pid: ProcessId, t: SimTime) -> None:
         st = self.procs[pid]
         h = msg.height
         kind = msg.kind
         if self._sync_omission:
             st.any_from.setdefault(h, set()).add(msg.sender)
 
-        if kind is MessageKind.SUSPICION:
+        if kind is _SUSPICION:
             st.suspicion.accuse(h, msg.payload, msg.sender)
             return
 
         # the sender looked up this height's record before sending
-        if msg.payload != self._heights[h].payload:
+        info = self._heights[h]
+        if msg.payload != info.payload:
             self._suspect(pid, h, msg.sender, t)
-        elif kind is MessageKind.PROPOSE:
-            st.valid_proposal_seen.add(h)
-        elif kind is MessageKind.VOTE:
+        elif kind is _DECISION:
+            st.decision_deliveries.setdefault(h, {}).setdefault(msg.sender, t)
+        elif kind is _VOTE:
             st.votes.setdefault(h, set()).add(msg.sender)
         else:
-            st.decision_deliveries.setdefault(h, {}).setdefault(msg.sender, t)
+            st.valid_proposal_seen.add(h)
 
         if st.height == h and h not in st.decided:
-            self._check_progress(pid, h, t)
+            self._check_progress(pid, h, info, t)
 
     def _suspect(self, pid: ProcessId, h: int, suspect: ProcessId, t: SimTime) -> None:
         st = self.procs[pid]
-        if st.spec.behavior_at(h) is not BehaviorKind.CORRECT:
+        if st.spec.behavior_at(h) is not _CORRECT:
             return
         if (h, suspect) in st.accused:
             return
         st.accused.add((h, suspect))
         st.suspicion.accuse(h, suspect, pid)
         others = [q for q in self._everyone if q != pid]
-        self._send(pid, others, MessageKind.SUSPICION, h, suspect, t)
+        self._send(pid, others, _SUSPICION, h, suspect, t)
 
-    def _check_progress(self, pid: ProcessId, h: int, t: SimTime) -> None:
+    def _check_progress(self, pid: ProcessId, h: int, info: _Height, t: SimTime) -> None:
         st = self.procs[pid]
         if h in st.decided:
             return
-        info = self._height(h)
         member = pid in info.members
 
         if member and h in st.valid_proposal_seen:
             behavior = st.spec.behavior_at(h)
-            if behavior is BehaviorKind.CORRECT and h not in st.voted:
+            if behavior is _CORRECT and h not in st.voted:
                 st.voted.add(h)
-                self._send(pid, info.order, MessageKind.VOTE, h, info.payload, t)
-            elif behavior is BehaviorKind.BYZANTINE_EQUIVOCATE and h not in st.equivocated:
+                self._send(pid, info.order, _VOTE, h, info.payload, t)
+            elif behavior is _EQUIVOCATE and h not in st.equivocated:
                 st.equivocated.add(h)
-                self._equivocate(pid, MessageKind.VOTE, h, t)
+                self._equivocate(pid, _VOTE, h, t)
 
         if member and len(st.votes.get(h, ())) >= info.quorum:
             self._decide(pid, h, t)
@@ -389,8 +395,8 @@ class SimulationEngine:
         elif self.chain.block_at(h).payload_id != info.payload:
             raise AgreementViolation(f"conflicting decisions at height {h}")
 
-        if pid in info.members and st.spec.behavior_at(h) is not BehaviorKind.BYZANTINE_SILENT:
-            self._send(pid, self._everyone, MessageKind.DECISION, h, info.payload, t)
+        if pid in info.members and st.spec.behavior_at(h) is not _SILENT:
+            self._send(pid, self._everyone, _DECISION, h, info.payload, t)
         self.queue.push(t + st.delta, ("collect", pid, h))
 
     def _append_block(self, h: int, info: _Height) -> None:
@@ -408,9 +414,9 @@ class SimulationEngine:
         st = self.procs[pid]
         info = self._height(h)
         st.to_reward[h] = collect_decisions(
-            st.decision_deliveries.get(h, {}), st.decided[h], t - st.decided[h], info.committee
+            st.decision_deliveries.get(h, {}), st.decided[h], t - st.decided[h], info.members
         )
-        if self._sync_omission and st.spec.behavior_at(h) is BehaviorKind.CORRECT:
+        if self._sync_omission and st.spec.behavior_at(h) is _CORRECT:
             # with instant delivery, total silence over a height is a
             # detectable omission
             heard = st.any_from.get(h, set())
@@ -454,7 +460,7 @@ class SimulationEngine:
                 break
             kind = event[0]
             if kind == "msg":
-                on_msg(event[1], t)
+                on_msg(event[1], event[2], t)
             elif kind == "start":
                 on_start(event[1], event[2], t)
             elif kind == "round":

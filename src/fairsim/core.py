@@ -30,6 +30,10 @@ class BehaviorKind(Enum):
     BYZANTINE_DECISION_ONLY = "decision_only"
 
 
+# bound once for behavior_at, which runs for every handled message
+_CORRECT = BehaviorKind.CORRECT
+
+
 class SelectionMechanismId(Enum):
     HIGHEST_STAKE = "highest_stake"
     LOWEST_STAKE = "lowest_stake"
@@ -60,7 +64,7 @@ class ProcessSpec:
     behavior: Dict[int, BehaviorKind] = field(default_factory=dict)
 
     def behavior_at(self, height: int) -> BehaviorKind:
-        return self.behavior.get(height, BehaviorKind.CORRECT)
+        return self.behavior.get(height, _CORRECT)
 
 
 @dataclass

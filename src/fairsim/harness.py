@@ -93,7 +93,12 @@ def _heights_matching(spec, max_height: int, path: str) -> List[int]:
     raise ScenarioError(path, f"unrecognized heights specifier: {spec!r}")
 
 
-def parse_scenario(doc: dict) -> Scenario:
+def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional[int] = None) -> Scenario:
+    """Validate ``doc``; ``seed`` and ``replications`` override its fields of those names."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("", "must be an object")
+    overrides = {"seed": seed, "replications": replications}
+    doc = {**doc, **{key: value for key, value in overrides.items() if value is not None}}
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}")
     name = doc.get("name", "scenario")

@@ -4,6 +4,9 @@ Time is integer ticks. Four communication models are supported:
 synchronous (fixed delay), alternating good/bad periods with optional
 per-process laggards, eventually synchronous with a global stabilization
 time (GST), and asynchronous with unbounded escalating delay bursts.
+
+A ``Message`` is one send: every recipient of it is delivered the same
+frozen object, and the recipient travels in the delivery event.
 """
 from __future__ import annotations
 
@@ -23,10 +26,12 @@ class MessageKind(Enum):
     SUSPICION = "suspicion"
 
 
-@dataclass(slots=True)
+_DECISION = MessageKind.DECISION
+
+
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: int
-    recipient: int
     height: int
     kind: MessageKind
     payload: int  # payload_id, or the suspect id for suspicion messages
@@ -101,74 +106,51 @@ class Asynchronous:
 NetworkModel = object  # one of the four dataclasses above
 
 
-def _synchronous_delay(model: Synchronous, msg: Message, rng: random.Random) -> SimTime:
-    return msg.sent_at + model.delay
-
-
-# The bounded draws below inline ``rng.randint(lo, hi)`` as CPython (3.10 and
-# later) computes it: ``lo`` plus getrandbits(k) for the bit length k of the
-# width, redrawn while out of range. They consume the same RNG stream
-# without randint's three Python frames, and a width of 1 still draws.
-
-
-def _good_bad_delay(model: GoodBad, msg: Message, rng: random.Random) -> SimTime:
-    t = msg.sent_at
-    if model.in_good_period(t):
-        lo, width = 0, model.good_delay_bound + 1
-    else:
-        lo, hi = model.bad_delay_range
-        width = hi - lo + 1
-    k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return t + lo + r + model.laggards.get(msg.sender, 0)
-
-
-def _eventually_synchronous_delay(model: EventuallySynchronous, msg: Message, rng: random.Random) -> SimTime:
-    t = msg.sent_at
-    gst = model.gst
-    if gst is not None and t >= gst:
-        lo, width = 0, model.post_gst_bound + 1
-    else:
-        lo, hi = model.pre_gst_delay_range
-        width = hi - lo + 1
-    k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return t + lo + r
-
-
-def _asynchronous_delay(model: Asynchronous, msg: Message, rng: random.Random) -> SimTime:
-    lo, hi = model.base_delay_range
-    width = hi - lo + 1
-    k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    delay = lo + r
-    if msg.kind is MessageKind.DECISION:
-        burst = model.burst_delay(msg.height)
-        if burst is not None:
-            delay += burst
-    return msg.sent_at + delay
-
-
-_DRAW = {
-    Synchronous: _synchronous_delay,
-    GoodBad: _good_bad_delay,
-    EventuallySynchronous: _eventually_synchronous_delay,
-    Asynchronous: _asynchronous_delay,
-}
+# Each model's branch adds its fixed offsets (the low end of its range, a
+# laggard's extra delay, a burst) to ``t`` and sets the width of its range.
+# The draw that ends assign_delay inlines ``rng.randint(lo, hi)`` as CPython
+# (3.10 and later) computes it: getrandbits(k) for the bit length k of the
+# width, redrawn while out of range. It consumes the same RNG stream without
+# randint's three Python frames, and a width of 1 still draws.
 
 
 def assign_delay(model: NetworkModel, msg: Message, rng: random.Random) -> SimTime:
     """Delivery tick of ``msg``, drawn from its ``sent_at``."""
-    draw = _DRAW.get(type(model))
-    if draw is None:
+    t = msg.sent_at
+    cls = type(model)
+    if cls is Synchronous:
+        return t + model.delay
+    if cls is EventuallySynchronous:
+        gst = model.gst
+        if gst is not None and t >= gst:
+            width = model.post_gst_bound + 1
+        else:
+            lo, hi = model.pre_gst_delay_range
+            width = hi - lo + 1
+            t += lo
+    elif cls is GoodBad:
+        if model.in_good_period(t):
+            width = model.good_delay_bound + 1
+        else:
+            lo, hi = model.bad_delay_range
+            width = hi - lo + 1
+            t += lo
+        t += model.laggards.get(msg.sender, 0)
+    elif cls is Asynchronous:
+        lo, hi = model.base_delay_range
+        width = hi - lo + 1
+        t += lo
+        if msg.kind is _DECISION:
+            burst = model.burst_delay(msg.height)
+            if burst is not None:
+                t += burst
+    else:
         raise TypeError(f"unknown network model: {model!r}")
-    return draw(model, msg, rng)
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return t + r
 
 
 class ExhaustedQueue(Exception):

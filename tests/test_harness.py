@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 
@@ -301,6 +302,14 @@ def _analyzer(**fields):
     return lambda doc: doc.setdefault("analyzer", {}).update(fields)
 
 
+_Replacement = namedtuple("_Replacement", "document flags")
+
+
+def _replaced_by(document, *flags):
+    """An edit that replaces the whole document and adds CLI ``flags``."""
+    return lambda doc: _Replacement(document, flags)
+
+
 # fields whose unchecked value makes the run loop forever; their cases run
 # the CLI in a subprocess, so that a regression fails on the timeout
 _HANGS_WITHOUT_CHECK = {"engine.round_ticks"}
@@ -395,14 +404,20 @@ def _over_byzantine_bound(doc):
         ("population.behaviors[0]", lambda doc: doc["population"].update(behaviors=[5])),
         ("population.behaviors[0].kind",
          lambda doc: doc["population"]["behaviors"][0].update(kind=["x"])),
+        # a document that is not an object, also with the overrides that
+        # used to write into it
+        ("", _replaced_by([1])),
+        ("", _replaced_by([1], "--seed", "3")),
+        ("", _replaced_by([1], "--reps", "2")),
     ],
 )
 def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
     doc = _doc()
-    edit(doc)
+    replaced = edit(doc)
+    doc, flags = replaced if isinstance(replaced, _Replacement) else (doc, ())
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    args = ["run", "--scenario", str(path), "--out", str(tmp_path / "o")]
+    args = ["run", "--scenario", str(path), "--out", str(tmp_path / "o"), *flags]
     if field in _HANGS_WITHOUT_CHECK:
         rc, err = _cli_subprocess(args)
     else:

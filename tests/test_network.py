@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import random
 
@@ -19,7 +20,15 @@ from fairsim.network import (
 
 
 def _msg(kind=MessageKind.VOTE, sender=0, height=1, sent_at=0):
-    return Message(sender=sender, recipient=1, height=height, kind=kind, payload=0, sent_at=sent_at)
+    return Message(sender=sender, height=height, kind=kind, payload=0, sent_at=sent_at)
+
+
+def test_message_is_frozen():
+    # one Message is shared by every recipient of a send, so no handler may
+    # change it under the others
+    msg = _msg()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        msg.payload = 1
 
 
 def test_queue_orders_by_time_then_fifo():
