@@ -30,7 +30,8 @@ class BehaviorKind(Enum):
     BYZANTINE_DECISION_ONLY = "decision_only"
 
 
-# bound once for behavior_at, which runs for every handled message
+# bound once: behavior_at is on the engine's hot path, and reading a member off
+# its Enum class costs several times a module global
 _CORRECT = BehaviorKind.CORRECT
 
 
