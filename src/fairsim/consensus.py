@@ -12,11 +12,16 @@ a height is a deterministic function of the chain, members vote for it
 once they see a proposal carrying it, and a quorum of ceil(2n/3) votes
 decides. Everything the fairness analysis cares about is the timing of
 the messages around decisions, which this preserves.
+
+A process drops its state for height h when it starts h+2, once
+``_on_collect(h)`` and ``_reward_proposal(h+1)`` have read it; a later
+message for h acts only when its payload is bogus. So engine memory stays
+flat in the run's length, apart from the per-height results it returns.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from .core import (
@@ -139,37 +144,29 @@ class RunResult:
     finished_at: SimTime
 
 
-class _Proc:
-    __slots__ = (
-        "spec",
-        "height",
-        "delta",
-        "voted",
-        "equivocated",
-        "decided",
-        "valid_proposal_seen",
-        "votes",
-        "decision_deliveries",
-        "any_from",
-        "to_reward",
-        "suspicion",
-        "accused",
-    )
+@dataclass(slots=True)
+class _Slot:
+    """One process's state for one height."""
 
-    def __init__(self, spec: ProcessSpec, delta0: int, n: int) -> None:
-        self.spec = spec
-        self.height = 0
-        self.delta = delta0
-        self.voted: Set[int] = set()
-        self.equivocated: Set[int] = set()
-        self.decided: Dict[int, SimTime] = {}
-        self.valid_proposal_seen: Set[int] = set()
-        self.votes: Dict[int, Set[ProcessId]] = {}
-        self.decision_deliveries: Dict[int, Dict[ProcessId, SimTime]] = {}
-        self.any_from: Dict[int, Set[ProcessId]] = {}
-        self.to_reward: Dict[int, Set[ProcessId]] = {}
-        self.suspicion = SuspicionState(n=n)
-        self.accused: Set[Tuple[int, ProcessId]] = set()
+    proposal_seen: bool = False
+    voted: bool = False  # the vote step ran: a vote, an equivocation or nothing
+    votes: Set[ProcessId] = field(default_factory=set)
+    deliveries: Dict[ProcessId, SimTime] = field(default_factory=dict)  # sender -> first valid decision
+    heard: Set[ProcessId] = field(default_factory=set)  # every sender; read only under the synchronous model
+
+
+@dataclass(slots=True)
+class _Proc:
+    # slot h and the accusations for h live from the first delivery for h
+    # until the process starts h+2; decided and to_reward (the run's result)
+    # and accused (so a late bogus message is not accused twice) keep every h
+    delta: int
+    suspicion: SuspicionState
+    height: int = 0
+    slots: Dict[int, _Slot] = field(default_factory=dict)
+    decided: Dict[int, SimTime] = field(default_factory=dict)
+    to_reward: Dict[int, Set[ProcessId]] = field(default_factory=dict)
+    accused: Set[Tuple[int, ProcessId]] = field(default_factory=set)
 
 
 class _Height:
@@ -214,7 +211,7 @@ class SimulationEngine:
         self.n = genesis.n
         self.chain = Blockchain(genesis=genesis)
         self.queue = EventQueue()
-        self.procs = {pid: _Proc(self.specs[pid], self.config.delta0, self.n) for pid in range(self.population)}
+        self.procs = {pid: _Proc(self.config.delta0, SuspicionState(n=self.n)) for pid in range(self.population)}
         self.trace: List[dict] = []
 
         self._heights: Dict[int, _Height] = {}
@@ -280,10 +277,14 @@ class SimulationEngine:
     def _start_height(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
         st.height = h
+        st.slots.pop(h - 2, None)
+        st.suspicion.accusers.pop(h - 2, None)
         info = self._height(h)
         if pid in info.members:
             self._on_round(pid, h, 0, t)
-        self._check_progress(pid, h, info, t)
+        slot = st.slots.get(h)
+        if slot is not None:
+            self._check_progress(pid, h, info, slot, t)
 
     def _propose(self, pid: ProcessId, h: int, t: SimTime) -> None:
         # the first correct proposal of a height fixes the rewards its block carries
@@ -320,7 +321,7 @@ class SimulationEngine:
             return
         order = self._height(h).order
         if order[r % len(order)] == pid:
-            behavior = st.spec.behavior_at(h)
+            behavior = self.specs[pid].behavior_at(h)
             if behavior is _CORRECT:
                 self._propose(pid, h, t)
             elif behavior is _EQUIVOCATE:
@@ -333,69 +334,69 @@ class SimulationEngine:
         st = self.procs[pid]
         h = msg.height
         kind = msg.kind
+        # the sender looked up this height's record before sending
+        if h < st.height - 1:
+            # height h is dropped: only a bogus payload still acts
+            if kind is not _SUSPICION and msg.payload != self._heights[h].payload:
+                self._suspect(pid, h, msg.sender, t)
+            return
+        slot = st.slots.get(h)
+        if slot is None:
+            slot = st.slots[h] = _Slot()
         if self._sync_omission:
-            st.any_from.setdefault(h, set()).add(msg.sender)
+            slot.heard.add(msg.sender)
 
         if kind is _SUSPICION:
             st.suspicion.accuse(h, msg.payload, msg.sender)
             return
 
-        # the sender looked up this height's record before sending
         info = self._heights[h]
         if msg.payload != info.payload:
             self._suspect(pid, h, msg.sender, t)
         elif kind is _DECISION:
-            st.decision_deliveries.setdefault(h, {}).setdefault(msg.sender, t)
+            slot.deliveries.setdefault(msg.sender, t)
         elif kind is _VOTE:
-            st.votes.setdefault(h, set()).add(msg.sender)
+            slot.votes.add(msg.sender)
         else:
-            st.valid_proposal_seen.add(h)
+            slot.proposal_seen = True
 
         if st.height == h and h not in st.decided:
-            self._check_progress(pid, h, info, t)
+            self._check_progress(pid, h, info, slot, t)
 
     def _suspect(self, pid: ProcessId, h: int, suspect: ProcessId, t: SimTime) -> None:
-        st = self.procs[pid]
-        if st.spec.behavior_at(h) is not _CORRECT:
+        if self.specs[pid].behavior_at(h) is not _CORRECT:
             return
+        st = self.procs[pid]
         if (h, suspect) in st.accused:
             return
         st.accused.add((h, suspect))
-        st.suspicion.accuse(h, suspect, pid)
+        if h >= st.height - 1:
+            st.suspicion.accuse(h, suspect, pid)
         others = [q for q in self._everyone if q != pid]
         self._send(pid, others, _SUSPICION, h, suspect, t)
 
-    def _check_progress(self, pid: ProcessId, h: int, info: _Height, t: SimTime) -> None:
-        st = self.procs[pid]
-        if h in st.decided:
-            return
+    def _check_progress(self, pid: ProcessId, h: int, info: _Height, slot: _Slot, t: SimTime) -> None:
         member = pid in info.members
-
-        if member and h in st.valid_proposal_seen:
-            behavior = st.spec.behavior_at(h)
-            if behavior is _CORRECT and h not in st.voted:
-                st.voted.add(h)
+        if member and slot.proposal_seen and not slot.voted:
+            slot.voted = True
+            behavior = self.specs[pid].behavior_at(h)
+            if behavior is _CORRECT:
                 self._send(pid, info.order, _VOTE, h, info.payload, t)
-            elif behavior is _EQUIVOCATE and h not in st.equivocated:
-                st.equivocated.add(h)
+            elif behavior is _EQUIVOCATE:
                 self._equivocate(pid, _VOTE, h, t)
 
-        if member and len(st.votes.get(h, ())) >= info.quorum:
-            self._decide(pid, h, t)
-            return
-        if len(st.decision_deliveries.get(h, ())) >= info.evidence:
-            self._decide(pid, h, t)
+        if member and len(slot.votes) >= info.quorum or len(slot.deliveries) >= info.evidence:
+            self._decide(pid, h, info, t)
 
-    def _decide(self, pid: ProcessId, h: int, t: SimTime) -> None:
+    def _decide(self, pid: ProcessId, h: int, info: _Height, t: SimTime) -> None:
         st = self.procs[pid]
         st.decided[h] = t
-        info = self._height(h)
         if len(self.chain) < h:
             self._append_block(h, info)
         elif self.chain.block_at(h).payload_id != info.payload:
             raise AgreementViolation(f"conflicting decisions at height {h}")
 
-        if pid in info.members and st.spec.behavior_at(h) is not _SILENT:
+        if pid in info.members and self.specs[pid].behavior_at(h) is not _SILENT:
             self._send(pid, self._everyone, _DECISION, h, info.payload, t)
         self.queue.push(t + st.delta, ("collect", pid, h))
 
@@ -413,15 +414,14 @@ class SimulationEngine:
     def _on_collect(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
         info = self._height(h)
-        st.to_reward[h] = collect_decisions(
-            st.decision_deliveries.get(h, {}), st.decided[h], t - st.decided[h], info.members
-        )
-        if self._sync_omission and st.spec.behavior_at(h) is _CORRECT:
+        # deciding h took a delivery for h, so its slot exists
+        slot = st.slots[h]
+        st.to_reward[h] = collect_decisions(slot.deliveries, st.decided[h], t - st.decided[h], info.members)
+        if self._sync_omission and self.specs[pid].behavior_at(h) is _CORRECT:
             # with instant delivery, total silence over a height is a
             # detectable omission
-            heard = st.any_from.get(h, set())
             for q in info.committee:
-                if q != pid and q not in heard:
+                if q != pid and q not in slot.heard:
                     self._suspect(pid, h, q, t)
         expected = info.members - st.suspicion.confirmed(h)
         st.delta = update_delta(
@@ -478,8 +478,8 @@ class SimulationEngine:
             chain=self.chain,
             committees=committees,
             matrix=matrix,
-            to_reward={pid: dict(st.to_reward) for pid, st in self.procs.items()},
-            decided_at={pid: dict(st.decided) for pid, st in self.procs.items()},
+            to_reward={pid: st.to_reward for pid, st in self.procs.items()},
+            decided_at={pid: st.decided for pid, st in self.procs.items()},
             trace=self.trace,
             finished_at=finished_at,
         )

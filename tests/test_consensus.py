@@ -160,3 +160,35 @@ def test_never_reward_produces_empty_vectors():
     res = _run(max_height=5, reward=RewardMechanismId.NEVER_REWARD)
     for h in res.matrix.heights():
         assert res.matrix.rewarded(h) == set()
+
+
+class _PeakSlots(SimulationEngine):
+    """Records the most slots and accusation heights one process holds at once."""
+
+    peak_slots = peak_accusers = 0
+
+    def _on_msg(self, msg, pid, t):
+        super()._on_msg(msg, pid, t)
+        st = self.procs[pid]
+        self.peak_slots = max(self.peak_slots, len(st.slots))
+        self.peak_accusers = max(self.peak_accusers, len(st.suspicion.accusers))
+
+
+def test_live_slots_do_not_grow_with_the_run():
+    # the long-horizon benchmark workload's shape: N=n=4, instant delivery,
+    # an equivocator at even heights and so a suspicion broadcast per even height
+    peaks = []
+    for max_height in (60, 600):
+        behaviors = {1: {h: BehaviorKind.BYZANTINE_EQUIVOCATE for h in range(2, max_height + 1, 2)}}
+        engine = _PeakSlots(
+            specs=_specs(4, behaviors),
+            genesis=_genesis(),
+            model=Synchronous(delay=0),
+            max_height=max_height,
+            seed=1,
+            config=EngineConfig(delta0=2, delta_increment=2),
+        )
+        assert len(engine.run().chain) == max_height + 1
+        peaks.append((engine.peak_slots, engine.peak_accusers))
+    assert peaks[0] == peaks[1]
+    assert 0 < peaks[0][0] <= 3 and 0 < peaks[0][1] <= 3

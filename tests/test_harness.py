@@ -9,10 +9,12 @@ from collections import namedtuple
 import pytest
 
 from fairsim.cli import main as cli_main
+from fairsim.consensus import SimulationEngine
 from fairsim.core import chain_from_jsonl, chain_to_jsonl
 from fairsim.harness import ScenarioError, parse_scenario, regrade_output_dir, run_scenario
+from fairsim.network import MessageKind
 from fairsim.reward import matrix_from_chain
-from fairsim.scenarios import builtin_scenario, evsync_tendermint, sync_suspicion_equivocator
+from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -210,6 +212,49 @@ def test_trace_is_pinned_and_leaves_other_outputs_unchanged(tmp_path, capsys):
     trace = traced.pop("trace-000.jsonl")
     assert traced == _files(tmp_path / "plain")
     assert hashlib.sha256(trace).hexdigest() == _EVSYNC_FIXED_TRACE_SHA256
+
+
+def _equivocating_laggard() -> dict:
+    """goodbad-laggard for 20 heights, with its laggard, process 3, equivocating
+    at every height and lagging 80 ticks, more than two heights: its bogus votes
+    reach the others after they have started the height after next."""
+    doc = goodbad_laggard(max_height=20)
+    doc["name"] = "goodbad-equivocating-laggard"
+    doc["population"]["behaviors"] = [{"process": 3, "kind": "equivocate", "heights": "all"}]
+    doc["network"]["laggards"] = {"3": 80}
+    doc["analyzer"] = {"stabilization_window": 5}
+    return doc
+
+
+# sha256 of trace-000.jsonl from `fairsim run --trace` on _equivocating_laggard(),
+# computed before the engine dropped the state of past heights
+_LAGGARD_TRACE_SHA256 = "ac7848f95355bcd4e6c3505ee93e8885e59bf012ce0571a317f501c9c8d009e2"
+
+
+def test_late_bogus_messages_leave_the_trace_unchanged(tmp_path, monkeypatch, capsys):
+    late = []
+    on_msg = SimulationEngine._on_msg
+
+    def spy(engine, msg, pid, t):
+        h = msg.height
+        if (
+            h < engine.procs[pid].height - 1
+            and msg.kind is not MessageKind.SUSPICION
+            and msg.payload != engine._heights[h].payload
+        ):
+            late.append((pid, h))
+        on_msg(engine, msg, pid, t)
+        st = engine.procs[pid]
+        assert min(set(st.slots) | set(st.suspicion.accusers)) >= st.height - 1
+
+    monkeypatch.setattr(SimulationEngine, "_on_msg", spy)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(_equivocating_laggard()))
+    assert cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "o"), "--trace"]) == 0
+    # bogus messages for a height their recipient has already dropped
+    assert late
+    trace = (tmp_path / "o" / "trace-000.jsonl").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == _LAGGARD_TRACE_SHA256
 
 
 def test_parallel_jobs_match_serial(tmp_path):

@@ -8,13 +8,16 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from fairsim.consensus import max_byzantine
+from fairsim.consensus import SimulationEngine, max_byzantine
 from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy, chain_validate
 from fairsim.harness import parse_scenario, regrade_output_dir, run_scenario
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, laggard=False):
+    """A small scenario; with ``laggard``, under the good/bad model with one
+    process lagging up to 150 ticks, so that some messages arrive after their
+    recipient has dropped their height."""
     size = draw(st.integers(1, 7))
     selection = draw(st.sampled_from([m.value for m in SelectionMechanismId]))
     n = size if selection == "select_all" else draw(st.integers(1, size))
@@ -29,33 +32,34 @@ def scenarios(draw):
     ]
     lo = draw(st.integers(0, 5))
     hi = lo + draw(st.integers(0, 20))
-    network = draw(
-        st.sampled_from(
-            [
-                {"model": "synchronous", "delay": lo},
-                {
-                    "model": "good_bad",
-                    "good_len": 60,
-                    "bad_len": 30,
-                    "good_delay_bound": lo,
-                    "bad_delay_range": [lo, hi],
-                },
-                {
-                    "model": "eventually_synchronous",
-                    "gst_height": 3,
-                    "post_gst_bound": lo,
-                    "pre_gst_delay_range": [lo, hi],
-                },
-                {
-                    "model": "asynchronous",
-                    "base_delay_range": [lo, hi],
-                    "burst_every_heights": 4,
-                    "burst_initial": 30,
-                    "burst_growth": 2,
-                },
-            ]
-        )
-    )
+    models = [
+        {"model": "synchronous", "delay": lo},
+        {
+            "model": "good_bad",
+            "good_len": 60,
+            "bad_len": 30,
+            "good_delay_bound": lo,
+            "bad_delay_range": [lo, hi],
+        },
+        {
+            "model": "eventually_synchronous",
+            "gst_height": 3,
+            "post_gst_bound": lo,
+            "pre_gst_delay_range": [lo, hi],
+        },
+        {
+            "model": "asynchronous",
+            "base_delay_range": [lo, hi],
+            "burst_every_heights": 4,
+            "burst_initial": 30,
+            "burst_growth": 2,
+        },
+    ]
+    if laggard:
+        lag = {str(draw(st.integers(0, size - 1))): draw(st.integers(0, 150))}
+        network = dict(models[1], laggards=lag)
+    else:
+        network = draw(st.sampled_from(models))
     return {
         "schema_version": 1,
         "name": "property",
@@ -87,3 +91,14 @@ def test_engine_invariants(doc):
             committee = chain.block_at(block.rewards_for).committee
             assert set(block.reward_vector) <= set(committee), block.height
         assert regrade_output_dir(out)["matches_stored"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(scenarios(), scenarios(laggard=True)))
+def test_no_state_kept_for_dropped_heights(doc):
+    sc = parse_scenario(doc)
+    engine = SimulationEngine(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
+    engine.run()
+    for pid, proc in engine.procs.items():
+        kept = set(proc.slots) | set(proc.suspicion.accusers)
+        assert min(kept, default=proc.height) >= proc.height - 1, (pid, proc.height, sorted(kept))
