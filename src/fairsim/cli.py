@@ -58,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError("--jobs", "must be at least 1")
     if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -216,7 +216,7 @@ class SimulationEngine:
 
         self._heights: Dict[int, _Height] = {}
         self._everyone = list(range(self.population))
-        self._sel_state = SelectionState.initial(self.population, self.n, genesis.initial_stakes)
+        self._sel_state = SelectionState(self.population, self.n, genesis.selection, genesis.initial_stakes)
         self._sel_applied = 0
         self._pending_reward: Dict[int, Dict[ProcessId, int]] = {}
         self._sync_omission = isinstance(model, Synchronous)
@@ -232,7 +232,7 @@ class SimulationEngine:
         while self._sel_applied < h - 1:
             self._sel_state.apply_block(self.chain.blocks[self._sel_applied])
             self._sel_applied += 1
-        committee = self._sel_state.committee(h, self.genesis.selection)
+        committee = self._sel_state.committee(h)
         specs = [self.specs[pid] for pid in committee]
         check_committee(specs, h, self.config.allow_quorum_violation)
         # a height starts only once block h-1 is on the chain, so its valid

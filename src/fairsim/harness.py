@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -114,9 +113,9 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         if not (
             isinstance(merits_doc, list)
             and len(merits_doc) == size
-            and all(type(m) in (int, float) and math.isfinite(m) for m in merits_doc)
+            and all(type(m) in (int, float) and math.isfinite(m) and m >= 0 for m in merits_doc)
         ):
-            raise ScenarioError("population.merits", f"must be a list of {size} numbers")
+            raise ScenarioError("population.merits", f"must be a list of {size} non-negative numbers")
         merits = {pid: Fraction(m).limit_denominator(10**9) for pid, m in enumerate(merits_doc)}
         if sum(merits.values()) != 1:
             raise ScenarioError("population.merits", "merits must sum to 1")
@@ -374,8 +373,13 @@ def run_scenario(
 ) -> ScenarioResult:
     reps: List[ReplicationResult]
     if jobs > 1 and scenario.replications > 1:
+        # imported here because it loads multiprocessing, which a serial run
+        # never needs; the pool forks all its workers up front, so no more
+        # than there are replications
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(scenario.raw, rep, record_trace) for rep in range(scenario.replications)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, scenario.replications)) as pool:
             reps = list(pool.map(_run_rep_task, tasks))
         reps.sort(key=lambda r: r.index)
     else:

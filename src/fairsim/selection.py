@@ -1,14 +1,16 @@
 """Committee selection from chain state, plus the selection-fairness checker.
 
 ``select`` is a pure function of (chain, height, mechanism): stakes are the
-initial stakes plus every reward recorded in blocks 1..h-1, and selection
-counts come from the committees of those same blocks. ``SelectionState``
-maintains the same quantities incrementally for long runs; the two are
-checked against each other in the test suite.
+initial stakes plus every reward in blocks 1..h-1, and selection counts come
+from the committees of those blocks. ``SelectionState`` ranks by one integer
+key per process, ``stake*N + pid`` (lowest stake), ``-stake*N + pid``
+(highest stake) or ``count*N + pid`` (fewest selections), so ascending keys
+break ties to the lower pid. It re-sorts its last ranking in place: only
+the processes credited since have moved, so the sort merges about two runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -23,57 +25,49 @@ class InsufficientTrace(SelectionError):
     """Run shorter than the requested fairness window."""
 
 
-@dataclass
 class SelectionState:
-    """Stakes and selection counts implied by the chain so far."""
+    """The ranking for one mechanism implied by the chain so far."""
 
-    population: int
-    n: int
-    stakes: List[int]
-    counts: List[int] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.counts is None:
-            self.counts = [0] * self.population
-
-    @classmethod
-    def initial(cls, population: int, n: int, initial_stakes: Dict[ProcessId, int]) -> "SelectionState":
-        stakes = [initial_stakes.get(pid, 0) for pid in range(population)]
-        return cls(population=population, n=n, stakes=stakes)
+    def __init__(self, population: int, n: int, mech: SelectionMechanismId, initial_stakes: Dict[ProcessId, int]):
+        S = SelectionMechanismId
+        self.population, self.n, self.mech = population, n, mech
+        # what one unit of stake and one selection add to a rank key
+        self.per_stake = {S.LOWEST_STAKE: population, S.HIGHEST_STAKE: -population}.get(mech, 0)
+        self.per_selection = population if mech is S.FEWEST_SELECTIONS else 0
+        self.rank = [initial_stakes.get(pid, 0) * self.per_stake + pid for pid in range(population)]
+        self.order = list(range(population))
 
     def apply_block(self, block: Block) -> None:
-        for pid in block.committee:
-            self.counts[pid] += 1
-        for pid, amount in block.reward_vector.items():
-            self.stakes[pid] += amount
+        rank = self.rank
+        if self.per_selection:
+            for pid in block.committee:
+                rank[pid] += self.per_selection
+        if self.per_stake:
+            for pid, amount in block.reward_vector.items():
+                rank[pid] += amount * self.per_stake
 
-    def committee(self, height: int, mech: SelectionMechanismId) -> List[ProcessId]:
-        N, n = self.population, self.n
+    def committee(self, height: int) -> List[ProcessId]:
+        N, n, mech = self.population, self.n, self.mech
         if mech is SelectionMechanismId.SELECT_ALL:
             if n != N:
                 raise SelectionError("select-all requires committee size == population")
             return list(range(N))
         if mech is SelectionMechanismId.ROUND_ROBIN:
             return [((height - 1) * n + j) % N for j in range(n)]
-        # ties go to the lower process id: the sort is stable over range(N),
-        # and reverse=True keeps equal keys in their original order
-        if mech is SelectionMechanismId.HIGHEST_STAKE:
-            return sorted(range(N), key=self.stakes.__getitem__, reverse=True)[:n]
-        if mech is SelectionMechanismId.LOWEST_STAKE:
-            return sorted(range(N), key=self.stakes.__getitem__)[:n]
-        if mech is SelectionMechanismId.FEWEST_SELECTIONS:
-            return sorted(range(N), key=self.counts.__getitem__)[:n]
-        raise SelectionError(f"unknown selection mechanism: {mech}")
+        # the keys are distinct, so the last ranking does not change the result
+        order = self.order
+        order.sort(key=self.rank.__getitem__)
+        return order[:n]
 
 
 def select(bc: Blockchain, height: int, mech: SelectionMechanismId) -> List[ProcessId]:
     """Committee for ``height``, or [] when the chain is too short."""
     if len(bc) < height - 1:
         return []
-    state = SelectionState.initial(bc.genesis.population, bc.genesis.n, bc.genesis.initial_stakes)
+    state = SelectionState(bc.genesis.population, bc.genesis.n, mech, bc.genesis.initial_stakes)
     for block in bc.blocks[: height - 1]:
         state.apply_block(block)
-    return state.committee(height, mech)
+    return state.committee(height)
 
 
 @dataclass
@@ -97,12 +91,14 @@ class SelectionTally:
 
     def record(self, height: int, committee: Sequence[ProcessId]) -> None:
         self.heights = max(self.heights, height)
+        counts, last_selected, max_gap = self.counts, self._last_selected, self._max_gap
+        before = height - 1
         for pid in committee:
-            self.counts[pid] += 1
-            gap = height - self._last_selected[pid] - 1
-            if gap > self._max_gap[pid]:
-                self._max_gap[pid] = gap
-            self._last_selected[pid] = height
+            counts[pid] += 1
+            gap = before - last_selected[pid]
+            if gap > max_gap[pid]:
+                max_gap[pid] = gap
+            last_selected[pid] = height
 
     def stats(self) -> SelectionStats:
         max_gap = {}
@@ -189,12 +185,14 @@ def _committees(
     """
     if initial_stakes is None:
         initial_stakes = {pid: 100 for pid in range(population)}
-    state = SelectionState.initial(population, n, initial_stakes)
+    state = SelectionState(population, n, mech, initial_stakes)
+    rank = state.rank
+    # each member is credited one selection and ``reward_per_member`` stake
+    credit = state.per_selection + reward_per_member * state.per_stake
     for h in range(1, heights + 1):
-        committee = state.committee(h, mech)
+        committee = state.committee(h)
         for pid in committee:
-            state.counts[pid] += 1
-            state.stakes[pid] += reward_per_member
+            rank[pid] += credit
         yield committee
 
 

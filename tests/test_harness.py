@@ -268,6 +268,60 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert _files(tmp_path / "parallel") == serial
 
 
+@pytest.mark.parametrize("jobs, reps, workers", [(500, 2, 2), (3, 5, 3), (2, 2, 2)])
+def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, reps, workers):
+    import concurrent.futures
+
+    from fairsim import harness
+
+    sizes = []
+
+    class Pool:
+        """Records its size and runs the tasks in-process, starting none."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    # patched where the pool is imported from and in harness itself, so
+    # that no real pool starts whichever way harness imports it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool, raising=False)
+    doc = tmp_path / "s.json"
+    doc.write_text(json.dumps(_doc(max_height=6)))
+    args = ["run", "--scenario", str(doc), "--out", str(tmp_path / "o"), "--jobs", str(jobs), "--reps", str(reps)]
+    assert cli_main(args) == 0
+    assert sizes == [workers]
+    assert (tmp_path / "o" / f"chain-{reps - 1:03d}.jsonl").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    rc = cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["field"] == "--jobs"
+    assert not (tmp_path / "o").exists()
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # a serial run never needs multiprocessing, so the pool is imported on
+    # the jobs > 1 path only
+    code = "import sys, fairsim.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # -- command line -----------------------------------------------------------
 
 def test_cli_run_builtin_and_check(tmp_path, capsys):
@@ -439,6 +493,7 @@ def _over_byzantine_bound(doc):
         ("population.behaviors[0].process",
          lambda doc: doc["population"]["behaviors"][0].update(process="1")),
         ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
+        ("population.merits", lambda doc: doc["population"].update(merits=[2, -1, 0, 0])),
         ("population.behaviors[0].heights",
          lambda doc: doc["population"]["behaviors"][0].update(heights=["a"])),
         ("max_height", lambda doc: doc.pop("max_height")),

@@ -27,42 +27,42 @@ from fairsim.selection import (
 )
 
 
-def _state(stakes, n=2, counts=None):
-    st_ = SelectionState(population=len(stakes), n=n, stakes=list(stakes))
+def _block(height, committee, reward_vector):
+    return Block(height, committee, height, reward_vector, payload_id=0, parent_link=0)
+
+
+def _state(stakes, mech, n=2, counts=None):
+    st_ = SelectionState(len(stakes), n, mech, dict(enumerate(stakes)))
     if counts:
-        st_.counts = list(counts)
+        # one block whose committee lists each process ``count`` times
+        st_.apply_block(_block(1, [pid for pid, c in enumerate(counts) for _ in range(c)], {}))
     return st_
 
 
 def test_highest_stake_with_tiebreak():
-    st_ = _state([5, 9, 9, 1], n=2)
-    assert st_.committee(1, S.HIGHEST_STAKE) == [1, 2]
-    st_ = _state([9, 9, 9, 1], n=2)
-    assert st_.committee(1, S.HIGHEST_STAKE) == [0, 1]
+    assert _state([5, 9, 9, 1], S.HIGHEST_STAKE).committee(1) == [1, 2]
+    assert _state([9, 9, 9, 1], S.HIGHEST_STAKE).committee(1) == [0, 1]
 
 
 def test_lowest_stake_with_tiebreak():
-    st_ = _state([5, 1, 1, 9], n=2)
-    assert st_.committee(1, S.LOWEST_STAKE) == [1, 2]
+    assert _state([5, 1, 1, 9], S.LOWEST_STAKE).committee(1) == [1, 2]
 
 
 def test_fewest_selections():
-    st_ = _state([0, 0, 0, 0], n=2, counts=[3, 1, 1, 5])
-    assert st_.committee(1, S.FEWEST_SELECTIONS) == [1, 2]
+    assert _state([0, 0, 0, 0], S.FEWEST_SELECTIONS, counts=[3, 1, 1, 5]).committee(1) == [1, 2]
 
 
 def test_select_all_requires_full_population():
-    st_ = _state([0, 0, 0], n=3)
-    assert st_.committee(1, S.SELECT_ALL) == [0, 1, 2]
+    assert _state([0, 0, 0], S.SELECT_ALL, n=3).committee(1) == [0, 1, 2]
     with pytest.raises(SelectionError):
-        _state([0, 0, 0], n=2).committee(1, S.SELECT_ALL)
+        _state([0, 0, 0], S.SELECT_ALL, n=2).committee(1)
 
 
 def test_round_robin_wraps():
-    st_ = _state([0] * 7, n=3)
-    assert st_.committee(1, S.ROUND_ROBIN) == [0, 1, 2]
-    assert st_.committee(2, S.ROUND_ROBIN) == [3, 4, 5]
-    assert st_.committee(3, S.ROUND_ROBIN) == [6, 0, 1]
+    st_ = _state([0] * 7, S.ROUND_ROBIN, n=3)
+    assert st_.committee(1) == [0, 1, 2]
+    assert st_.committee(2) == [3, 4, 5]
+    assert st_.committee(3) == [6, 0, 1]
 
 
 def _random_chain(rng, population, n, length):
@@ -95,12 +95,15 @@ def test_pure_select_agrees_with_incremental_state():
     rng = random.Random(42)
     for _ in range(20):
         bc = _random_chain(rng, population=9, n=3, length=12)
-        state = SelectionState.initial(9, 3, bc.genesis.initial_stakes)
+        states = [
+            SelectionState(9, 3, mech, bc.genesis.initial_stakes)
+            for mech in (S.HIGHEST_STAKE, S.LOWEST_STAKE, S.FEWEST_SELECTIONS)
+        ]
         for h in range(1, 14):
-            for mech in (S.HIGHEST_STAKE, S.LOWEST_STAKE, S.FEWEST_SELECTIONS):
-                assert select(bc, h, mech) == state.committee(h, mech)
-            if h <= 12:
-                state.apply_block(bc.block_at(h))
+            for state in states:
+                assert select(bc, h, state.mech) == state.committee(h)
+                if h <= 12:
+                    state.apply_block(bc.block_at(h))
 
 
 def test_select_short_chain_returns_empty():
@@ -116,9 +119,8 @@ def test_committee_shape_invariants(seed, n):
     rng = random.Random(seed)
     population = n + rng.randrange(0, 8)
     stakes = [rng.randrange(0, 20) for _ in range(population)]
-    st_ = _state(stakes, n=n)
     for mech in (S.HIGHEST_STAKE, S.LOWEST_STAKE, S.FEWEST_SELECTIONS, S.ROUND_ROBIN):
-        committee = st_.committee(1 + rng.randrange(0, 5), mech)
+        committee = _state(stakes, mech, n=n).committee(1 + rng.randrange(0, 5))
         assert len(committee) == n
         assert len(set(committee)) == n
         assert all(0 <= pid < population for pid in committee)
@@ -138,14 +140,63 @@ def test_ranked_committees_match_nsmallest_reference(case):
     # the lower process id
     stakes, counts, n = case
     N = len(stakes)
-    st_ = _state(stakes, n=n, counts=counts)
     reference = {
         S.HIGHEST_STAKE: lambda p: (-stakes[p], p),
         S.LOWEST_STAKE: lambda p: (stakes[p], p),
         S.FEWEST_SELECTIONS: lambda p: (counts[p], p),
     }
     for mech, key in reference.items():
-        assert st_.committee(1, mech) == heapq.nsmallest(n, range(N), key=key), mech
+        st_ = _state(stakes, mech, n=n, counts=counts)
+        assert st_.committee(1) == heapq.nsmallest(n, range(N), key=key), mech
+
+
+def _reference(mech, stakes, counts, n):
+    key = {
+        S.HIGHEST_STAKE: lambda p: (-stakes[p], p),
+        S.LOWEST_STAKE: lambda p: (stakes[p], p),
+        S.FEWEST_SELECTIONS: lambda p: (counts[p], p),
+    }[mech]
+    return heapq.nsmallest(n, range(len(stakes)), key=key)
+
+
+@st.composite
+def _ranked_run(draw):
+    population = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=population))
+    stakes = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=population, max_size=population))
+    vector = st.dictionaries(st.integers(min_value=0, max_value=population - 1), st.integers(min_value=0, max_value=3))
+    vectors = draw(st.lists(vector, min_size=1, max_size=40))
+    return stakes, n, vectors, draw(st.integers(min_value=0, max_value=3))
+
+
+@given(_ranked_run())
+@settings(max_examples=200, deadline=None)
+def test_kept_ranking_matches_from_scratch_reference(run):
+    # the state re-sorts its last ranking and never rebuilds it, so at every
+    # height it must still equal a from-scratch ranking of the stakes and
+    # counts so far: with blocks applied as the engine does, and with each
+    # member credited reward_per_member as a selection-only run does
+    initial, n, vectors, reward_per_member = run
+    N = len(initial)
+    for mech in (S.HIGHEST_STAKE, S.LOWEST_STAKE, S.FEWEST_SELECTIONS):
+        state = SelectionState(N, n, mech, dict(enumerate(initial)))
+        stakes, counts = list(initial), [0] * N
+        for h, vector in enumerate(vectors, start=1):
+            committee = state.committee(h)
+            assert committee == _reference(mech, stakes, counts, n), (mech, h)
+            state.apply_block(_block(h, committee, vector))
+            for pid in committee:
+                counts[pid] += 1
+            for pid, amount in vector.items():
+                stakes[pid] += amount
+
+        stakes, counts = list(initial), [0] * N
+        run = selection_committees(N, n, mech, len(vectors), dict(enumerate(initial)), reward_per_member)
+        for h, committee in enumerate(run, start=1):
+            assert committee == _reference(mech, stakes, counts, n), (mech, h, reward_per_member)
+            for pid in committee:
+                counts[pid] += 1
+                stakes[pid] += reward_per_member
 
 
 def test_tally_max_gap_counts_tail():
