@@ -303,16 +303,6 @@ def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs
     assert (tmp_path / "o" / f"chain-{reps - 1:03d}.jsonl").exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
-    rc = cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(tmp_path / "o"), "--jobs", jobs])
-    assert rc == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["field"] == "--jobs"
-    assert not (tmp_path / "o").exists()
-
-
 def test_importing_the_cli_does_not_load_the_process_pool():
     # a serial run never needs multiprocessing, so the pool is imported on
     # the jobs > 1 path only
@@ -509,6 +499,8 @@ def _over_byzantine_bound(doc):
         ("", _replaced_by([1])),
         ("", _replaced_by([1], "--seed", "3")),
         ("", _replaced_by([1], "--reps", "2")),
+        ("--jobs", lambda doc: _Replacement(doc, ("--jobs", "0"))),
+        ("--jobs", lambda doc: _Replacement(doc, ("--jobs", "-3"))),
     ],
 )
 def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
