@@ -5,7 +5,11 @@
     fairsim figure NAME --out DIR
     fairsim check --out DIR
 
-Errors are reported as one JSON object on stderr and a nonzero exit code.
+``check`` re-derives every output file from scenario-echo.json and the
+chains in DIR and compares it byte for byte with the stored one; it exits 1
+naming the first file that differs. Errors, including an output directory
+whose scenario echo or chains cannot be read, are reported as one JSON
+object on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -15,15 +19,8 @@ import os
 import sys
 
 from .consensus import QuorumImpossible
-from .harness import (
-    ScenarioError,
-    _atomic_write,
-    _write_csv,
-    parse_scenario,
-    regrade_output_dir,
-    run_scenario,
-    write_selection_csv,
-)
+from .check import regrade_output_dir
+from .harness import ScenarioError, _atomic_write, parse_scenario, run_scenario, selection_csv
 from .core import SelectionMechanismId, uniform_merits
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment
@@ -52,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", required=True)
     fig.add_argument("--seed", type=int, default=None)
 
-    chk = sub.add_parser("check", help="re-grade the traces stored in an output directory")
+    chk = sub.add_parser("check", help="re-derive every output file from the stored chains and compare")
     chk.add_argument("--out", required=True)
     return parser
 
@@ -84,16 +81,16 @@ def _cmd_figure(args) -> int:
         mech, population, n, heights = _SELECTION_FIGURES[args.name]
         stats = run_selection_experiment(population, n, mech, heights)
         os.makedirs(args.out, exist_ok=True)
-        write_selection_csv(args.out, stats, uniform_merits(population))
+        _atomic_write(os.path.join(args.out, "selection.csv"), selection_csv(stats, uniform_merits(population)))
         print(f"{args.name}: selection counts over {heights} heights written to {args.out}")
         return 0
     if args.name == "ev-sync-rewards":
         scenario = parse_scenario(evsync_rewards_figure(), seed=args.seed)
         result = run_scenario(scenario, out_dir=args.out)
-        rows = [["height", "mean", "mean_minus_std", "mean_plus_std"]]
+        lines = ["height,mean,mean_minus_std,mean_plus_std\r\n"]
         for h, (mean, std_all, _) in sorted(result.aggregate.items()):
-            rows.append([h, repr(mean), repr(mean - std_all), repr(mean + std_all)])
-        _write_csv(os.path.join(args.out, "figure.csv"), rows)
+            lines.append(f"{h},{mean!r},{mean - std_all!r},{mean + std_all!r}\r\n")
+        _atomic_write(os.path.join(args.out, "figure.csv"), "".join(lines))
         print(f"ev-sync-rewards: {scenario.replications} replications written to {args.out}")
         return 0
     raise UnknownFigure(args.name)
@@ -106,9 +103,11 @@ def _cmd_check(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
     )
     if summary["matches_stored"]:
-        print("re-graded reports match the stored fairness.json")
+        print(f"all {len(summary['files'])} output files match their re-derivation from the chains")
         return 0
-    print("re-graded reports DIFFER from the stored fairness.json", file=sys.stderr)
+    first = summary["first_difference"]
+    problem = "is missing" if summary["files"][first] == "missing" else "differs from its re-derivation"
+    print(f"{first} {problem} (see fairness-check.json)", file=sys.stderr)
     return 1
 
 

@@ -15,8 +15,13 @@ the messages around decisions, which this preserves.
 
 A process drops its state for height h when it starts h+2, once
 ``_on_collect(h)`` and ``_reward_proposal(h+1)`` have read it; a later
-message for h acts only when its payload is bogus. So engine memory stays
-flat in the run's length, apart from the per-height results it returns.
+message for h acts only when its payload is bogus, and reads the valid
+payload off block h. The engine drops its record of height h (committee
+and payload) once every process has started h+2, and the rewards a
+proposal fixes for h leave with block h. So engine memory stays flat in
+the run's length, apart from the per-height results it returns and the
+(height, suspect) pairs each process has accused, kept because a bogus
+message for any past height can still be in flight.
 """
 from __future__ import annotations
 
@@ -138,10 +143,11 @@ class RunResult:
     chain: Blockchain
     committees: Dict[int, List[ProcessId]]
     matrix: RewardMatrix
-    to_reward: Dict[ProcessId, Dict[int, Set[ProcessId]]]
-    decided_at: Dict[ProcessId, Dict[int, SimTime]]
-    trace: List[dict]
-    finished_at: SimTime
+    # what only the engine saw; a result rebuilt from a stored chain has none of it
+    to_reward: Dict[ProcessId, Dict[int, Set[ProcessId]]] = field(default_factory=dict)
+    decided_at: Dict[ProcessId, Dict[int, SimTime]] = field(default_factory=dict)
+    trace: List[dict] = field(default_factory=list)
+    finished_at: SimTime = 0
 
 
 @dataclass(slots=True)
@@ -215,6 +221,10 @@ class SimulationEngine:
         self.trace: List[dict] = []
 
         self._heights: Dict[int, _Height] = {}
+        # heights up to this one are dropped from _heights
+        self._dropped = 0
+        # height -> processes that have started it, until all of them have
+        self._started: Dict[int, int] = {}
         self._everyone = list(range(self.population))
         self._sel_state = SelectionState(self.population, self.n, genesis.selection, genesis.initial_stakes)
         self._sel_applied = 0
@@ -227,6 +237,8 @@ class SimulationEngine:
         info = self._heights.get(h)
         if info is not None:
             return info
+        if h <= self._dropped:
+            raise RuntimeError(f"height {h} was dropped once every process had started {h + 2}")
         if len(self.chain) < h - 1:
             raise RuntimeError(f"committee for height {h} requested too early")
         while self._sel_applied < h - 1:
@@ -279,6 +291,15 @@ class SimulationEngine:
         st.height = h
         st.slots.pop(h - 2, None)
         st.suspicion.accusers.pop(h - 2, None)
+        started = self._started.get(h, 0) + 1
+        if started < self.population:
+            self._started[h] = started
+        else:
+            # no process reads height h-2 any more; a late message for it
+            # reads its payload off the chain
+            self._started.pop(h, None)
+            self._heights.pop(h - 2, None)
+            self._dropped = h - 2
         info = self._height(h)
         if pid in info.members:
             self._on_round(pid, h, 0, t)
@@ -287,8 +308,9 @@ class SimulationEngine:
             self._check_progress(pid, h, info, slot, t)
 
     def _propose(self, pid: ProcessId, h: int, t: SimTime) -> None:
-        # the first correct proposal of a height fixes the rewards its block carries
-        if h not in self._pending_reward:
+        # the first correct proposal of a height fixes the rewards its block
+        # carries, until the block is on the chain
+        if len(self.chain) < h and h not in self._pending_reward:
             self._pending_reward[h] = self._reward_proposal(pid, h)
         info = self._height(h)
         self._send(pid, info.order, _PROPOSE, h, info.payload, t)
@@ -334,10 +356,10 @@ class SimulationEngine:
         st = self.procs[pid]
         h = msg.height
         kind = msg.kind
-        # the sender looked up this height's record before sending
         if h < st.height - 1:
-            # height h is dropped: only a bogus payload still acts
-            if kind is not _SUSPICION and msg.payload != self._heights[h].payload:
+            # this process has dropped height h: only a bogus payload still
+            # acts, and block h is on the chain, since it has started h+2
+            if kind is not _SUSPICION and msg.payload != self.chain.block_at(h).payload_id:
                 self._suspect(pid, h, msg.sender, t)
             return
         slot = st.slots.get(h)
@@ -350,6 +372,8 @@ class SimulationEngine:
             st.suspicion.accuse(h, msg.payload, msg.sender)
             return
 
+        # the sender looked up this height's record before sending, and it is
+        # dropped only once this process has started h+2
         info = self._heights[h]
         if msg.payload != info.payload:
             self._suspect(pid, h, msg.sender, t)
@@ -405,7 +429,7 @@ class SimulationEngine:
             height=h,
             committee=info.committee,
             rewards_for=h - 1,
-            reward_vector=self._pending_reward.get(h, {}),
+            reward_vector=self._pending_reward.pop(h, {}),
             payload_id=info.payload,
             parent_link=self._parent_link(h),
         )

@@ -170,17 +170,6 @@ def genesis_from_json(obj: dict) -> GenesisConfig:
     )
 
 
-def block_to_json(b: Block) -> dict:
-    return {
-        "height": b.height,
-        "committee": list(b.committee),
-        "rewards_for": b.rewards_for,
-        "reward_vector": {str(k): v for k, v in sorted(b.reward_vector.items())},
-        "payload_id": b.payload_id,
-        "parent_link": b.parent_link,
-    }
-
-
 def block_from_json(obj: dict) -> Block:
     return Block(
         height=obj["height"],
@@ -193,17 +182,55 @@ def block_from_json(obj: dict) -> Block:
 
 
 def chain_to_jsonl(bc: Blockchain) -> str:
+    """The chain as JSON lines: ``json.dumps(..., sort_keys=True)`` of the
+    genesis, then of each block, written here from one template per block.
+
+    Block keys are in sorted order, and so are the ``reward_vector`` keys,
+    as strings: ``"10"`` comes before ``"2"``. Committees and reward vectors
+    repeat across heights, so each distinct one is written once.
+    """
     lines = [json.dumps({"genesis": genesis_to_json(bc.genesis)}, sort_keys=True)]
-    lines.extend(json.dumps(block_to_json(b), sort_keys=True) for b in bc.blocks)
-    return "\n".join(lines) + "\n"
+    committees: Dict[tuple, str] = {}
+    vectors: Dict[tuple, str] = {}
+    for b in bc.blocks:
+        key = tuple(b.committee)
+        committee = committees.get(key)
+        if committee is None:
+            committee = committees[key] = ", ".join(map(str, key))
+        key = tuple(b.reward_vector.items())
+        rewards = vectors.get(key)
+        if rewards is None:
+            rewards = vectors[key] = ", ".join(f'"{k}": {v}' for k, v in sorted((str(k), v) for k, v in key))
+        lines.append(
+            f'{{"committee": [{committee}], "height": {b.height}, "parent_link": {b.parent_link},'
+            f' "payload_id": {b.payload_id}, "reward_vector": {{{rewards}}}, "rewards_for": {b.rewards_for}}}'
+        )
+    lines.append("")
+    return "\n".join(lines)
 
 
 def chain_from_jsonl(text: str) -> Blockchain:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    genesis = genesis_from_json(json.loads(lines[0])["genesis"])
-    bc = Blockchain(genesis=genesis)
-    for ln in lines[1:]:
-        bc.append(block_from_json(json.loads(ln)))
+    """Read ``chain_to_jsonl``'s text back; blank lines are skipped.
+
+    Raises ValueError naming the first line that is not the genesis or the
+    next block.
+    """
+    bc = None
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if bc is None:
+                bc = Blockchain(genesis=genesis_from_json(obj["genesis"]))
+            else:
+                bc.append(block_from_json(obj))
+        except KeyError as exc:
+            raise ValueError(f"line {number}: no {exc} field") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    if bc is None:
+        raise ValueError("no genesis line")
     return bc
 
 

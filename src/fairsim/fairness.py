@@ -1,5 +1,5 @@
 """Ground-truth analyzer: grades every height against the three reward
-conditions and classifies the whole run.
+conditions, classifies the whole run and writes the reports as fairness.json.
 
 The ground truth comes from the behavior schedule, not from what any
 process observed: a member counts as having followed the protocol for a
@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import BehaviorKind, ProcessId, ProcessSpec
-from .reward import RewardMatrix, RewardsNotYetAllocated
+from .reward import RewardMatrix
 
 
 class AnalyzerError(ValueError):
@@ -28,15 +28,30 @@ class GroundTruth:
     """Which processes actually followed the protocol at each height."""
 
     behaviors: Dict[ProcessId, Dict[int, BehaviorKind]]
+    # height -> the processes not scheduled correct there, indexed once
+    _faulty: Dict[int, FrozenSet[ProcessId]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        faulty: Dict[int, Set[ProcessId]] = {}
+        for pid, schedule in self.behaviors.items():
+            for h, kind in schedule.items():
+                if kind is not BehaviorKind.CORRECT:
+                    faulty.setdefault(h, set()).add(pid)
+        self._faulty = {h: frozenset(pids) for h, pids in faulty.items()}
 
     @classmethod
     def from_specs(cls, specs: Sequence[ProcessSpec]) -> "GroundTruth":
         return cls(behaviors={s.id: dict(s.behavior) for s in specs})
 
-    def followed_protocol(self, height: int, pid: ProcessId) -> bool:
-        kind = self.behaviors.get(pid, {}).get(height, BehaviorKind.CORRECT)
-        return kind is BehaviorKind.CORRECT
+    def faulty(self, height: int) -> FrozenSet[ProcessId]:
+        """The processes that did not follow the protocol at ``height``."""
+        return self._faulty.get(height, _NOBODY)
 
+    def followed_protocol(self, height: int, pid: ProcessId) -> bool:
+        return pid not in self.faulty(height)
+
+
+_NOBODY: FrozenSet[ProcessId] = frozenset()
 
 #: (non-member rewards are zero, completeness, accuracy)
 HeightGrade = Tuple[bool, bool, bool]
@@ -49,24 +64,19 @@ def grade_height(
     truth: GroundTruth,
     population: int,
 ) -> HeightGrade:
-    """Grade one height's allocation against the three conditions."""
-    if not matrix.has(height):
-        raise RewardsNotYetAllocated(height)
-    members = set(committee)
-    cond1 = all(
-        matrix.r(height, pid) == 0 for pid in range(population) if pid not in members
-    )
-    completeness = all(
-        matrix.r(height, pid) == 1
-        for pid in members
-        if truth.followed_protocol(height, pid)
-    )
-    accuracy = all(
-        matrix.r(height, pid) == 0
-        for pid in members
-        if not truth.followed_protocol(height, pid)
-    )
-    return cond1, completeness, accuracy
+    """Grade one height's allocation against the three conditions.
+
+    A process is rewarded when its amount is above 0, so cond1 holds when
+    the rewarded set is within the committee; ``population`` is not needed
+    for that.
+    """
+    return _grade(matrix.rewarded(height), set(committee), truth.faulty(height))
+
+
+def _grade(rewarded: Set[ProcessId], members: Set[ProcessId], faulty: FrozenSet[ProcessId]) -> HeightGrade:
+    # cond1: no non-member is rewarded; completeness: every member that
+    # followed the protocol is; accuracy: no member that did not is
+    return rewarded <= members, members - faulty <= rewarded, rewarded.isdisjoint(members & faulty)
 
 
 class Classification(Enum):
@@ -164,22 +174,20 @@ def build_report(
     grades: Dict[int, HeightGrade] = {}
     witnesses: List[Tuple[int, ProcessId, str]] = []
     for h in matrix.heights():
+        # one read of the height's row
+        rewarded = matrix.rewarded(h)
         committee = committees[h]
-        grade = grade_height(h, matrix, committee, truth, population)
-        grades[h] = grade
         members = set(committee)
+        faulty = truth.faulty(h)
+        grade = grades[h] = _grade(rewarded, members, faulty)
         if not grade[0]:
-            for pid in range(population):
-                if pid not in members and matrix.r(h, pid) == 1:
-                    witnesses.append((h, pid, "cond1"))
+            witnesses.extend((h, pid, "cond1") for pid in sorted(rewarded - members))
         if not grade[1]:
-            for pid in committee:
-                if truth.followed_protocol(h, pid) and matrix.r(h, pid) == 0:
-                    witnesses.append((h, pid, "completeness"))
+            witnesses.extend(
+                (h, pid, "completeness") for pid in committee if pid not in faulty and pid not in rewarded
+            )
         if not grade[2]:
-            for pid in committee:
-                if not truth.followed_protocol(h, pid) and matrix.r(h, pid) == 1:
-                    witnesses.append((h, pid, "accuracy"))
+            witnesses.extend((h, pid, "accuracy") for pid in committee if pid in faulty and pid in rewarded)
 
     label, h0 = classify(grades, stabilization_window, static_complete, static_accurate)
     return FairnessReport(
@@ -190,3 +198,60 @@ def build_report(
         accurate_rows_ok=all(g[0] and g[2] for g in grades.values()),
         witnesses=witnesses,
     )
+
+
+# -- fairness.json ---------------------------------------------------------
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+# one (cond1, completeness, accuracy) grade, as it stands in fairness.json
+_GRADE_TEXT = {
+    (cond1, complete, accurate): (
+        f'{{\n          "accuracy": {_JSON_BOOL[accurate]},\n          "completeness": {_JSON_BOOL[complete]},'
+        f'\n          "cond1": {_JSON_BOOL[cond1]}\n        }}'
+    )
+    for cond1 in (False, True)
+    for complete in (False, True)
+    for accurate in (False, True)
+}
+
+
+def fairness_json(window: int, reports: Sequence[Tuple[int, FairnessReport]]) -> str:
+    """fairness.json for (replication index, report) pairs: the text
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes for
+    ``{"stabilization_window": window, "replications": [{"replication":
+    index, **report.to_json()}, ...]}``, built as one flat list of pieces
+    joined once."""
+    out = ['{\n  "replications": [']
+    for index, report in reports:
+        out.append(
+            f'\n    {{\n      "accurate_rows_ok": {_JSON_BOOL[report.accurate_rows_ok]},'
+            f'\n      "classification": "{report.classification.value}",'
+            f'\n      "complete_rows_ok": {_JSON_BOOL[report.complete_rows_ok]},\n      "grades": {{'
+        )
+        # keys sort as strings: "10" before "2"
+        for key, grade in sorted((str(h), g) for h, g in report.grades.items()):
+            out.append(f'\n        "{key}": {_GRADE_TEXT[grade]},')
+        _close(out, "\n      }")
+        h0 = "null" if report.h0 is None else report.h0
+        out.append(f',\n      "h0": {h0},\n      "replication": {index},\n      "witnesses": [')
+        for h, pid, condition in report.witnesses:
+            out.append(
+                f'\n        {{\n          "condition": "{condition}",\n          "height": {h},'
+                f'\n          "process": {pid}\n        }},'
+            )
+        _close(out, "\n      ]")
+        out.append("\n    },")
+    _close(out, "\n  ]")
+    out.append(f',\n  "stabilization_window": {window}\n}}\n')
+    return "".join(out)
+
+
+def _close(out: List[str], closer: str) -> None:
+    """End the JSON container that ``out`` has open, whose items each end in
+    a comma: drop the last comma and add ``closer`` (its newline, indent and
+    bracket), or only the bracket after the opening one when it is empty."""
+    if out[-1][-1] in "{[":
+        out[-1] += closer[-1]
+    else:
+        out[-1] = out[-1][:-1] + closer

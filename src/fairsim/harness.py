@@ -1,21 +1,26 @@
-"""Scenario ingestion, replication running, aggregation, and file outputs.
+"""Scenario ingestion, replication running, aggregation, and the output files.
 
 Scenarios are JSON documents with an explicit schema version. A run
 executes R independent replications (seed XOR replication index), grades
-each one against the ground truth, and writes rewards.csv, selection.csv,
-fairness.json, aggregate.csv, scenario-echo.json and one chain-<rep>.jsonl
-per replication into the output directory.
+each one against the ground truth, and writes its output directory.
+
+``render_outputs`` is the one renderer of that directory. It yields each
+file as (name, text), one at a time: scenario-echo.json, one
+chain-<rep>.jsonl per replication (and trace-<rep>.jsonl under --trace),
+rewards.csv, selection.csv, fairness.json and aggregate.csv. The text is
+built from fixed templates, byte for byte what ``json.dumps`` or
+``csv.writer`` would write. ``write_outputs`` writes each file atomically.
+``fairsim check`` (the check module) renders what it re-derives with the
+same renderer.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_committee
 from .core import (
@@ -26,12 +31,12 @@ from .core import (
     RewardMechanismId,
     SelectionMechanismId,
     TimeoutPolicy,
-    chain_from_jsonl,
+    chain_from_jsonl,  # the check module reads chains through this name
     chain_to_jsonl,
 )
-from .fairness import FairnessReport, GroundTruth, build_report
+from .fairness import FairnessReport, GroundTruth, build_report, fairness_json
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
-from .reward import RewardMatrix, matrix_from_chain
+from .reward import RewardMatrix
 from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
@@ -333,7 +338,7 @@ def static_fairness_flags(mech: RewardMechanismId) -> tuple:
     )
 
 
-def _grade(scenario: Scenario, matrix: RewardMatrix, committees: Dict[int, List[ProcessId]]) -> FairnessReport:
+def grade(scenario: Scenario, matrix: RewardMatrix, committees: Dict[int, List[ProcessId]]) -> FairnessReport:
     static_complete, static_accurate = static_fairness_flags(scenario.genesis.reward)
     return build_report(
         matrix=matrix,
@@ -357,7 +362,7 @@ def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) ->
         record_trace=record_trace,
     )
     result = engine.run()
-    return ReplicationResult(index=rep, result=result, report=_grade(scenario, result.matrix, result.committees))
+    return ReplicationResult(index=rep, result=result, report=grade(scenario, result.matrix, result.committees))
 
 
 def _run_rep_task(args) -> ReplicationResult:
@@ -398,14 +403,14 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
     Two spreads are reported: over every (process, replication) sample and
     over per-replication means.
     """
-    heights = sorted(reps[0].result.matrix.heights()) if reps else []
+    heights = reps[0].result.matrix.heights() if reps else []
     out: Dict[int, tuple] = {}
     for h in heights:
         samples: List[int] = []
         rep_means: List[float] = []
         for rr in reps:
-            committee = rr.result.committees[h]
-            values = [rr.result.matrix.r(h, pid) for pid in committee]
+            row = rr.result.matrix.row(h)
+            values = [1 if row.get(pid, 0) > 0 else 0 for pid in rr.result.committees[h]]
             samples.extend(values)
             rep_means.append(sum(values) / len(values))
         mean = sum(samples) / len(samples)
@@ -417,98 +422,78 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
 
 
 # -- outputs -----------------------------------------------------------------
+#
+# Every file is written from fixed text pieces. The text is what the standard
+# library writes: ``json.dumps(..., sort_keys=True)`` for the JSON files
+# (``indent=2`` for fairness.json, see ``fairness_json``) and ``csv.writer``
+# (lines ending in \r\n) for the CSV files.
+
+_AGGREGATE_HEAD = (
+    "# mean/std of the reward parameter per height;"
+    " std_all over process x replication samples, std_rep over replication means\n"
+    "height,mean,std_all,std_rep\r\n"
+)
+
 
 def _atomic_write(path: str, data: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8"))
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, rows, preamble: str = "") -> None:
-    buf = io.StringIO()
-    buf.write(preamble)
-    csv.writer(buf).writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _rewards_csv(reps: Sequence[ReplicationResult]) -> str:
+    out = ["replication,height,process_id,r,amount\r\n"]
+    for rr in reps:
+        matrix, committees = rr.result.matrix, rr.result.committees
+        for h in matrix.heights():
+            row = matrix.row(h)
+            prefix = f"{rr.index},{h},"
+            for pid in committees[h]:
+                amount = row.get(pid, 0)
+                out.append(f"{prefix}{pid},{1 if amount > 0 else 0},{amount}\r\n")
+    return "".join(out)
 
 
-def write_selection_csv(out_dir: str, stats: SelectionStats, merits: Dict[ProcessId, Fraction]) -> None:
-    """Per-process selection count, frequency v_i and merit alpha_i."""
-    rows = [["process_id", "count", "v_i", "alpha_i"]]
+def selection_csv(stats: SelectionStats, merits: Dict[ProcessId, Fraction]) -> str:
+    """selection.csv: per-process selection count, frequency v_i and merit alpha_i."""
+    out = ["process_id,count,v_i,alpha_i\r\n"]
     for pid, count in sorted(stats.counts.items()):
-        rows.append([pid, count, repr(count / stats.total_heights), repr(float(merits[pid]))])
-    _write_csv(os.path.join(out_dir, "selection.csv"), rows)
+        out.append(f"{pid},{count},{count / stats.total_heights!r},{float(merits[pid])!r}\r\n")
+    return "".join(out)
+
+
+def _aggregate_csv(aggregate: Dict[int, tuple]) -> str:
+    out = [_AGGREGATE_HEAD]
+    for h, (mean, std_all, std_rep) in sorted(aggregate.items()):
+        out.append(f"{h},{mean!r},{std_all!r},{std_rep!r}\r\n")
+    return "".join(out)
+
+
+def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
+    """Each output file of ``result`` as (file name, text), one at a time:
+    first the files ``check`` reads back (the scenario echo and the chains),
+    then the ones it re-derives from them."""
+    scenario, reps = result.scenario, result.replications
+    yield "scenario-echo.json", json.dumps(scenario.raw, indent=2, sort_keys=True) + "\n"
+    for rr in reps:
+        yield f"chain-{rr.index:03d}.jsonl", chain_to_jsonl(rr.result.chain)
+        if rr.result.trace:
+            yield f"trace-{rr.index:03d}.jsonl", "\n".join(json.dumps(ev, sort_keys=True) for ev in rr.result.trace) + "\n"
+    yield "rewards.csv", _rewards_csv(reps)
+
+    tally = SelectionTally(scenario.genesis.population)
+    committees = reps[0].result.committees
+    for h in sorted(committees):
+        if h <= scenario.max_height:
+            tally.record(h, committees[h])
+    yield "selection.csv", selection_csv(tally.stats(), {s.id: s.merit for s in scenario.specs})
+
+    yield "fairness.json", fairness_json(scenario.window, [(rr.index, rr.report) for rr in reps])
+    yield "aggregate.csv", _aggregate_csv(result.aggregate)
 
 
 def write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    scenario = result.scenario
-
-    rows = [["replication", "height", "process_id", "r", "amount"]]
-    for rr in result.replications:
-        for h in rr.result.matrix.heights():
-            for pid in rr.result.committees[h]:
-                rows.append([rr.index, h, pid, rr.result.matrix.r(h, pid), rr.result.matrix.amount(h, pid)])
-    _write_csv(os.path.join(out_dir, "rewards.csv"), rows)
-
-    tally = SelectionTally(scenario.genesis.population)
-    first = result.replications[0]
-    for h in sorted(first.result.committees):
-        if h <= scenario.max_height:
-            tally.record(h, first.result.committees[h])
-    write_selection_csv(out_dir, tally.stats(), {s.id: s.merit for s in scenario.specs})
-
-    fairness = {
-        "stabilization_window": scenario.window,
-        "replications": [
-            {"replication": rr.index, **rr.report.to_json()} for rr in result.replications
-        ],
-    }
-    _atomic_write(os.path.join(out_dir, "fairness.json"), json.dumps(fairness, indent=2, sort_keys=True) + "\n")
-
-    rows = [["height", "mean", "std_all", "std_rep"]]
-    for h, (mean, std_all, std_rep) in sorted(result.aggregate.items()):
-        rows.append([h, repr(mean), repr(std_all), repr(std_rep)])
-    _write_csv(
-        os.path.join(out_dir, "aggregate.csv"),
-        rows,
-        preamble="# mean/std of the reward parameter per height;"
-        " std_all over process x replication samples, std_rep over replication means\n",
-    )
-
-    _atomic_write(
-        os.path.join(out_dir, "scenario-echo.json"),
-        json.dumps(scenario.raw, indent=2, sort_keys=True) + "\n",
-    )
-
-    for rr in result.replications:
-        _atomic_write(
-            os.path.join(out_dir, f"chain-{rr.index:03d}.jsonl"),
-            chain_to_jsonl(rr.result.chain),
-        )
-        if rr.result.trace:
-            trace_lines = "\n".join(json.dumps(ev, sort_keys=True) for ev in rr.result.trace)
-            _atomic_write(os.path.join(out_dir, f"trace-{rr.index:03d}.jsonl"), trace_lines + "\n")
-
-
-# -- re-grading stored traces ------------------------------------------------
-
-def regrade_output_dir(out_dir: str) -> dict:
-    """Rebuild the fairness reports from chain traces on disk and compare
-    them to the stored fairness.json. Returns a summary dict."""
-    with open(os.path.join(out_dir, "scenario-echo.json"), "r", encoding="utf-8") as fh:
-        scenario = parse_scenario(json.load(fh))
-    with open(os.path.join(out_dir, "fairness.json"), "r", encoding="utf-8") as fh:
-        stored = json.load(fh)
-
-    regraded = []
-    for rep in range(scenario.replications):
-        path = os.path.join(out_dir, f"chain-{rep:03d}.jsonl")
-        with open(path, "r", encoding="utf-8") as fh:
-            chain = chain_from_jsonl(fh.read())
-        report = _grade(scenario, *matrix_from_chain(chain))
-        regraded.append({"replication": rep, **report.to_json()})
-
-    matches = regraded == stored["replications"]
-    return {"matches_stored": matches, "replications": regraded}
-
+    for name, text in render_outputs(result):
+        _atomic_write(os.path.join(out_dir, name), text)

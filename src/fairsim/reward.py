@@ -44,21 +44,22 @@ class RewardMatrix:
     def heights(self) -> List[int]:
         return sorted(self._rows)
 
-    def has(self, height: int) -> bool:
-        return height in self._rows
+    def row(self, height: int) -> Dict[ProcessId, int]:
+        """The amounts allocated for ``height``, by process; a member left
+        out got nothing. Read it, do not change it."""
+        try:
+            return self._rows[height]
+        except KeyError:
+            raise RewardsNotYetAllocated(height) from None
 
     def amount(self, height: int, pid: ProcessId) -> int:
-        if height not in self._rows:
-            raise RewardsNotYetAllocated(height)
-        return self._rows[height].get(pid, 0)
+        return self.row(height).get(pid, 0)
 
     def r(self, height: int, pid: ProcessId) -> int:
         return 1 if self.amount(height, pid) > 0 else 0
 
     def rewarded(self, height: int) -> Set[ProcessId]:
-        if height not in self._rows:
-            raise RewardsNotYetAllocated(height)
-        return {pid for pid, amt in self._rows[height].items() if amt > 0}
+        return {pid for pid, amt in self.row(height).items() if amt > 0}
 
 
 def matrix_from_chain(chain: Blockchain) -> Tuple[RewardMatrix, Dict[int, List[ProcessId]]]:

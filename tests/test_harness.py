@@ -11,7 +11,8 @@ import pytest
 from fairsim.cli import main as cli_main
 from fairsim.consensus import SimulationEngine
 from fairsim.core import chain_from_jsonl, chain_to_jsonl
-from fairsim.harness import ScenarioError, parse_scenario, regrade_output_dir, run_scenario
+from fairsim.check import regrade_output_dir
+from fairsim.harness import ScenarioError, parse_scenario, run_scenario
 from fairsim.network import MessageKind
 from fairsim.reward import matrix_from_chain
 from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
@@ -182,6 +183,115 @@ def test_regrade_detects_tampering(tmp_path):
     assert not regrade_output_dir(str(tmp_path))["matches_stored"]
 
 
+_RENDERED = [
+    "scenario-echo.json",
+    "chain-000.jsonl",
+    "chain-001.jsonl",
+    "rewards.csv",
+    "selection.csv",
+    "fairness.json",
+    "aggregate.csv",
+]
+
+
+def _corrupt_one_byte(data: bytes, name: str) -> bytes:
+    """``data`` with one byte changed so that it still reads as what it was:
+    in a JSON file the space after the first colon becomes a tab, and in a
+    CSV file the last digit becomes another digit."""
+    if name.endswith((".json", ".jsonl")):
+        at = data.index(b": ") + 1
+        return data[:at] + b"\t" + data[at + 1:]
+    at = max(data.rfind(bytes([d])) for d in b"0123456789")
+    return data[:at] + (b"1" if data[at:at + 1] == b"0" else b"0") + data[at + 1:]
+
+
+def test_check_reports_every_file_it_re_derives(tmp_path, capsys):
+    sc = parse_scenario(_doc(replications=2))
+    run_scenario(sc, out_dir=str(tmp_path))
+    (tmp_path / "figure.csv").write_text("not an output of run\n")
+    summary = regrade_output_dir(str(tmp_path))
+    assert list(summary["files"]) == _RENDERED
+    assert set(summary["files"].values()) == {"matches"}
+    assert summary["matches_stored"] and summary["first_difference"] is None
+    assert summary["skipped"] == {}
+
+
+@pytest.mark.parametrize("name", _RENDERED)
+def test_check_names_a_file_with_one_corrupted_byte(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    assert run_scenario(parse_scenario(_doc(replications=2)), out_dir=str(out))
+    path = out / name
+    path.write_bytes(_corrupt_one_byte(path.read_bytes(), name))
+    capsys.readouterr()
+    assert cli_main(["check", "--out", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    summary = json.loads((out / "fairness-check.json").read_text())
+    assert summary["first_difference"] == name and not summary["matches_stored"]
+    assert [n for n, status in summary["files"].items() if status != "matches"] == [name]
+
+
+def test_check_reports_a_missing_output_file(tmp_path, capsys):
+    run_scenario(parse_scenario(_doc()), out_dir=str(tmp_path))
+    (tmp_path / "selection.csv").unlink()
+    assert cli_main(["check", "--out", str(tmp_path)]) == 1
+    assert "selection.csv is missing" in capsys.readouterr().err
+
+
+def test_check_skips_traces_and_ignores_other_files(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(out), "--trace"]) == 0
+    assert cli_main(["check", "--out", str(out)]) == 0
+    # a second check reads its own fairness-check.json as a file to ignore
+    assert cli_main(["check", "--out", str(out)]) == 0
+    summary = json.loads((out / "fairness-check.json").read_text())
+    assert list(summary["skipped"]) == ["trace-000.jsonl"]
+    assert "trace-000.jsonl" not in summary["files"] and "fairness-check.json" not in summary["files"]
+
+
+def _truncate_last_line(out):
+    path = out / "chain-000.jsonl"
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+def _genesis_only(out):
+    path = out / "chain-000.jsonl"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _broken_parent_link(out):
+    path = out / "chain-000.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    block = json.loads(lines[3])
+    block["parent_link"] += 1
+    lines[3] = json.dumps(block, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "field, damage",
+    [
+        ("chain-000.jsonl", lambda out: (out / "chain-000.jsonl").write_text("")),
+        ("chain-000.jsonl", _genesis_only),
+        ("chain-000.jsonl", _truncate_last_line),
+        ("chain-000.jsonl", _broken_parent_link),
+        ("chain-000.jsonl", lambda out: (out / "chain-000.jsonl").unlink()),
+        ("fairness.json", lambda out: (out / "fairness.json").write_text("[]")),
+        ("fairness.json", lambda out: (out / "fairness.json").write_text("{")),
+        ("scenario-echo.json", lambda out: (out / "scenario-echo.json").unlink()),
+        ("scenario-echo.json", lambda out: (out / "scenario-echo.json").write_text('{"schema_version": 1}')),
+    ],
+)
+def test_check_of_a_malformed_output_dir_is_one_json_line(tmp_path, capsys, field, damage):
+    out = tmp_path / "o"
+    run_scenario(parse_scenario(_doc()), out_dir=str(out))
+    damage(out)
+    capsys.readouterr()
+    assert cli_main(["check", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["field"] == field
+
+
 def test_matrix_from_chain_reconstruction(tmp_path):
     sc = parse_scenario(_doc())
     res = run_scenario(sc)
@@ -240,7 +350,7 @@ def test_late_bogus_messages_leave_the_trace_unchanged(tmp_path, monkeypatch, ca
         if (
             h < engine.procs[pid].height - 1
             and msg.kind is not MessageKind.SUSPICION
-            and msg.payload != engine._heights[h].payload
+            and msg.payload != engine.chain.block_at(h).payload_id
         ):
             late.append((pid, h))
         on_msg(engine, msg, pid, t)
@@ -582,3 +692,5 @@ def test_cli_figure_ev_sync_rewards(tmp_path, capsys):
     last = rows[-1]
     assert float(last["mean"]) == 1.0
     assert float(last["mean_minus_std"]) == 1.0
+    # check re-derives all 50 replications and ignores figure.csv
+    assert cli_main(["check", "--out", str(tmp_path)]) == 0

@@ -4,13 +4,15 @@ Every network model, reward mechanism and selection mechanism is drawn,
 with Byzantine schedules kept within the bound of any committee: at most
 floor((n-1)/3) processes ever misbehave, so no committee can exceed it.
 """
+import os
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from fairsim.consensus import SimulationEngine, max_byzantine
 from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy, chain_validate
-from fairsim.harness import parse_scenario, regrade_output_dir, run_scenario
+from fairsim.check import regrade_output_dir
+from fairsim.harness import parse_scenario, run_scenario
 
 
 @st.composite
@@ -90,7 +92,10 @@ def test_engine_invariants(doc):
         for block in chain.blocks[1:]:
             committee = chain.block_at(block.rewards_for).committee
             assert set(block.reward_vector) <= set(committee), block.height
-        assert regrade_output_dir(out)["matches_stored"]
+        # check re-derives every file the run wrote, byte for byte
+        files = regrade_output_dir(out)["files"]
+        assert sorted(files) == sorted(os.listdir(out))
+        assert set(files.values()) == {"matches"}
 
 
 @settings(max_examples=30, deadline=None)
