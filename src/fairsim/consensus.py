@@ -146,7 +146,8 @@ class RunResult:
     # what only the engine saw; a result rebuilt from a stored chain has none of it
     to_reward: Dict[ProcessId, Dict[int, Set[ProcessId]]] = field(default_factory=dict)
     decided_at: Dict[ProcessId, Dict[int, SimTime]] = field(default_factory=dict)
-    trace: List[dict] = field(default_factory=list)
+    # one (time, deliver_at, sender, recipient, kind value, height) per copy sent
+    trace: List[tuple] = field(default_factory=list)
     finished_at: SimTime = 0
 
 
@@ -218,7 +219,7 @@ class SimulationEngine:
         self.chain = Blockchain(genesis=genesis)
         self.queue = EventQueue()
         self.procs = {pid: _Proc(self.config.delta0, SuspicionState(n=self.n)) for pid in range(self.population)}
-        self.trace: List[dict] = []
+        self.trace: List[tuple] = []
 
         self._heights: Dict[int, _Height] = {}
         # heights up to this one are dropped from _heights
@@ -230,6 +231,11 @@ class SimulationEngine:
         self._sel_applied = 0
         self._pending_reward: Dict[int, Dict[ProcessId, int]] = {}
         self._sync_omission = isinstance(model, Synchronous)
+        # an eventually synchronous model without a GST tick is swapped for a
+        # copy with one when the chain reaches this length (None: no swap due)
+        self._gst_len = None
+        if isinstance(model, EventuallySynchronous) and model.gst is None and model.gst_height is not None:
+            self._gst_len = model.gst_height - 1
 
     # -- plumbing -----------------------------------------------------------
 
@@ -265,24 +271,17 @@ class SimulationEngine:
         payload: int,
         t: SimTime,
     ) -> None:
-        """Deliver one message, shared by all of ``recipients`` (sorted), to each of them."""
-        model, rng, push = self.model, self.rng, self.queue.push
-        trace = self.trace if self.record_trace else None
+        """Deliver one message, shared by all of ``recipients`` (sorted), to
+        each of them: one queue event per delivery tick, carrying that tick's
+        recipients in order."""
         msg = Message(sender, h, kind, payload, t)
-        for rcpt in recipients:
-            at = t if rcpt == sender else assign_delay(model, msg, rng)
-            push(at, ("msg", msg, rcpt))
-            if trace is not None:
-                trace.append(
-                    {
-                        "time": t,
-                        "deliver_at": at,
-                        "sender": sender,
-                        "recipient": rcpt,
-                        "kind": kind.value,
-                        "height": h,
-                    }
-                )
+        groups = assign_delay(self.model, msg, recipients, self.rng)
+        push = self.queue.push
+        for at, group in groups.items():
+            push(at, ("msg", msg, group))
+        if self.record_trace:
+            deliver_at = {rcpt: at for at, group in groups.items() for rcpt in group}
+            self.trace.extend((t, deliver_at[rcpt], sender, rcpt, kind.value, h) for rcpt in recipients)
 
     # -- height lifecycle ---------------------------------------------------
 
@@ -459,19 +458,28 @@ class SimulationEngine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> RunResult:
-        model = self.model
-        # an eventually synchronous model without a GST tick is swapped for a
-        # copy with one when the chain reaches the height before gst_height
-        gst_pending = (
-            isinstance(model, EventuallySynchronous) and model.gst is None and model.gst_height is not None
-        )
-        blocks = self.chain.blocks
+    def _watermark(self, t: SimTime) -> int:
+        """Swap in the GST tick ``t`` if the chain has reached the height
+        before gst_height; the chain length at which the run loop next acts."""
+        gst_len = self._gst_len
+        if gst_len is not None and len(self.chain) >= gst_len:
+            self.model = replace(self.model, gst=t)
+            self._gst_len = gst_len = None
         # the block after max_height carries max_height's rewards
         stop_len = self.max_height + 1
-        if gst_pending and len(blocks) >= model.gst_height - 1:
-            self.model = replace(model, gst=0)
-            gst_pending = False
+        return stop_len if gst_len is None else min(gst_len, stop_len)
+
+    def _deliver(self) -> SimTime:
+        """Handle events until the chain holds max_height + 1 blocks or the
+        queue runs dry; the tick at which it stopped.
+
+        A message event carries one send's recipients for one tick, each
+        delivered in order as if it were an event of its own: one test of the
+        chain length after each delivery lets the GST swap and the stop
+        follow the exact delivery that reaches their length."""
+        blocks = self.chain.blocks
+        stop_len = self.max_height + 1
+        watermark = self._watermark(0)
         for pid in range(self.population):
             self.queue.push(0, ("start", pid, 1))
         pop = self.queue.pop
@@ -480,23 +488,30 @@ class SimulationEngine:
             try:
                 t, event = pop()
             except ExhaustedQueue:
-                finished_at = self.queue.clock
-                break
+                return self.queue.clock
             kind = event[0]
             if kind == "msg":
-                on_msg(event[1], event[2], t)
-            elif kind == "start":
+                msg = event[1]
+                for pid in event[2]:
+                    on_msg(msg, pid, t)
+                    if len(blocks) >= watermark:
+                        watermark = self._watermark(t)
+                        if len(blocks) >= stop_len:
+                            return t
+                continue
+            if kind == "start":
                 on_start(event[1], event[2], t)
             elif kind == "round":
                 on_round(event[1], event[2], event[3], t)
             elif kind == "collect":
                 on_collect(event[1], event[2], t)
-            if gst_pending and len(blocks) >= model.gst_height - 1:
-                self.model = replace(model, gst=t)
-                gst_pending = False
-            if len(blocks) >= stop_len:
-                finished_at = t
-                break
+            if len(blocks) >= watermark:
+                watermark = self._watermark(t)
+                if len(blocks) >= stop_len:
+                    return t
+
+    def run(self) -> RunResult:
+        finished_at = self._deliver()
         matrix, committees = matrix_from_chain(self.chain)
         return RunResult(
             chain=self.chain,

@@ -80,20 +80,24 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _heights_matching(spec, max_height: int, path: str) -> List[int]:
+    # no height past max_height + 1 is ever read, so none is expanded
+    last = max_height + 1
     if spec == "all":
-        return list(range(1, max_height + 2))
+        return list(range(1, last + 1))
     if spec == "even":
-        return list(range(2, max_height + 2, 2))
+        return list(range(2, last + 1, 2))
     if spec == "odd":
-        return list(range(1, max_height + 2, 2))
+        return list(range(1, last + 1, 2))
     if isinstance(spec, list):
-        return [_int(h, path) for h in spec]
+        heights = [_int(h, path) for h in spec]
+        return [h for h in heights if 1 <= h <= last]
     if isinstance(spec, dict):
         if "mod" in spec:
             m, r = _int(spec["mod"], path, lo=1), _int(spec.get("rem", 0), path)
-            return [h for h in range(1, max_height + 2) if h % m == r]
+            return [h for h in range(1, last + 1) if h % m == r]
         if "from" in spec:
-            return list(range(_int(spec["from"], path), _int(spec.get("to", max_height + 1), path) + 1))
+            lo, hi = _int(spec["from"], path), _int(spec.get("to", last), path)
+            return list(range(max(lo, 1), min(hi, last) + 1))
     raise ScenarioError(path, f"unrecognized heights specifier: {spec!r}")
 
 
@@ -470,6 +474,15 @@ def _aggregate_csv(aggregate: Dict[int, tuple]) -> str:
     return "".join(out)
 
 
+def trace_jsonl(trace: Sequence[tuple]) -> str:
+    """trace-<rep>.jsonl: one JSON object per copy sent, keys sorted."""
+    return "".join(
+        f'{{"deliver_at": {at}, "height": {h}, "kind": "{kind}", "recipient": {rcpt},'
+        f' "sender": {sender}, "time": {t}}}\n'
+        for t, at, sender, rcpt, kind, h in trace
+    )
+
+
 def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     """Each output file of ``result`` as (file name, text), one at a time:
     first the files ``check`` reads back (the scenario echo and the chains),
@@ -479,7 +492,7 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     for rr in reps:
         yield f"chain-{rr.index:03d}.jsonl", chain_to_jsonl(rr.result.chain)
         if rr.result.trace:
-            yield f"trace-{rr.index:03d}.jsonl", "\n".join(json.dumps(ev, sort_keys=True) for ev in rr.result.trace) + "\n"
+            yield f"trace-{rr.index:03d}.jsonl", trace_jsonl(rr.result.trace)
     yield "rewards.csv", _rewards_csv(reps)
 
     tally = SelectionTally(scenario.genesis.population)

@@ -6,7 +6,9 @@ per-process laggards, eventually synchronous with a global stabilization
 time (GST), and asynchronous with unbounded escalating delay bursts.
 
 A ``Message`` is one send: every recipient of it is delivered the same
-frozen object, and the recipient travels in the delivery event.
+frozen object. ``assign_delay`` draws the delays of a whole send at once
+and groups its recipients by delivery tick, and each group travels in one
+delivery event.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 SimTime = int
 
@@ -107,19 +109,33 @@ NetworkModel = object  # one of the four dataclasses above
 
 
 # Each model's branch adds its fixed offsets (the low end of its range, a
-# laggard's extra delay, a burst) to ``t`` and sets the width of its range.
-# The draw that ends assign_delay inlines ``rng.randint(lo, hi)`` as CPython
-# (3.10 and later) computes it: getrandbits(k) for the bit length k of the
-# width, redrawn while out of range. It consumes the same RNG stream without
+# laggard's extra delay, a burst) to ``t`` and sets the width of its range;
+# they depend on the send only, so they are computed once per send. Each
+# remote copy's draw inlines ``rng.randint(lo, hi)`` as CPython (3.10 and
+# later) computes it: getrandbits(k) for the bit length k of the width,
+# redrawn while out of range. It consumes the same RNG stream without
 # randint's three Python frames, and a width of 1 still draws.
 
 
-def assign_delay(model: NetworkModel, msg: Message, rng: random.Random) -> SimTime:
-    """Delivery tick of ``msg``, drawn from its ``sent_at``."""
-    t = msg.sent_at
+def assign_delay(
+    model: NetworkModel, msg: Message, recipients: Sequence[int], rng: random.Random
+) -> Dict[SimTime, Sequence[int]]:
+    """Delivery ticks of one send: delivery tick -> the ``recipients`` of
+    ``msg`` delivered then, each group in recipient order.
+
+    Remote copies draw their delays from ``rng`` in recipient order, one
+    draw each; the sender's own copy arrives at ``sent_at`` and draws
+    nothing. A group may be ``recipients`` itself, so neither is changed.
+    """
+    t = sent_at = msg.sent_at
+    sender = msg.sender
     cls = type(model)
     if cls is Synchronous:
-        return t + model.delay
+        at = t + model.delay
+        if at == t or sender not in recipients:
+            return {at: recipients}
+        others = [rcpt for rcpt in recipients if rcpt != sender]
+        return {t: [sender], at: others} if others else {t: recipients}
     if cls is EventuallySynchronous:
         gst = model.gst
         if gst is not None and t >= gst:
@@ -135,7 +151,7 @@ def assign_delay(model: NetworkModel, msg: Message, rng: random.Random) -> SimTi
             lo, hi = model.bad_delay_range
             width = hi - lo + 1
             t += lo
-        t += model.laggards.get(msg.sender, 0)
+        t += model.laggards.get(sender, 0)
     elif cls is Asynchronous:
         lo, hi = model.base_delay_range
         width = hi - lo + 1
@@ -147,10 +163,18 @@ def assign_delay(model: NetworkModel, msg: Message, rng: random.Random) -> SimTi
     else:
         raise TypeError(f"unknown network model: {model!r}")
     k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return t + r
+    getrandbits = rng.getrandbits
+    groups: Dict[SimTime, List[int]] = {}
+    for rcpt in recipients:
+        if rcpt == sender:
+            at = sent_at
+        else:
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            at = t + r
+        groups.setdefault(at, []).append(rcpt)
+    return groups
 
 
 class ExhaustedQueue(Exception):

@@ -19,7 +19,7 @@ from fairsim.core import (
     chain_to_jsonl,
     chain_validate,
 )
-from fairsim.network import Synchronous
+from fairsim.network import MessageKind, Synchronous
 import pytest
 
 from fairsim.consensus import QuorumImpossible
@@ -81,6 +81,19 @@ def _run(behaviors=None, max_height=10, seed=0, reward=RewardMechanismId.SUSPICI
         config=EngineConfig(delta0=delta),
     )
     return engine.run()
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+def test_one_queue_event_per_delivery_tick(delay):
+    engine = SimulationEngine(_specs(4), _genesis(), Synchronous(delay=delay), max_height=1, seed=0)
+    engine._send(2, [0, 1, 2, 3], MessageKind.VOTE, 1, 0, 5)
+    if delay == 0:
+        assert len(engine.queue) == 1
+        assert engine.queue.pop()[1][2] == [0, 1, 2, 3]
+    else:
+        # the sender's own copy stays at the send tick
+        assert len(engine.queue) == 2
+        assert [(at, event[2]) for at, event in (engine.queue.pop(), engine.queue.pop())] == [(5, [2]), (8, [0, 1, 3])]
 
 
 def test_single_height_all_correct():

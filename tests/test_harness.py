@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import namedtuple
 
 import pytest
@@ -105,6 +106,22 @@ def test_heights_specifiers():
     doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": [1, 9]}]
     sc = parse_scenario(doc)
     assert sorted(sc.specs[1].behavior) == [1, 9]
+
+
+def test_heights_past_the_run_are_not_expanded():
+    """Only heights 1..max_height+1 are read, so only they are expanded: a
+    huge range parses at once and means what its part inside the run means."""
+    def specs(heights):
+        doc = _doc(max_height=200)
+        doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": heights}]
+        return parse_scenario(doc).specs
+
+    start = time.perf_counter()
+    huge = specs({"from": 1, "to": 3_000_000})
+    assert time.perf_counter() - start < 1.0
+    assert huge == specs({"from": 1, "to": 201})
+    assert specs({"from": -5, "to": 3}) == specs({"from": 1, "to": 3})
+    assert specs([0, -3, 9, 1, 202, 10**12]) == specs([9, 1])
 
 
 def test_run_scenario_writes_expected_files(tmp_path):

@@ -89,11 +89,28 @@ def test_queue_matches_reference_heap(ops):
         assert len(q) == len(ref)
 
 
+def _ticks(groups):
+    """recipient -> delivery tick, from assign_delay's groups."""
+    return {rcpt: at for at, group in groups.items() for rcpt in group}
+
+
+def _delay(model, msg, rng):
+    """The delay of one remote copy of ``msg``."""
+    (at,) = assign_delay(model, msg, [msg.sender + 1], rng)
+    return at - msg.sent_at
+
+
 def test_synchronous_fixed_delay():
     rng = random.Random(0)
+    state = rng.getstate()
     for d in (0, 1, 7):
         model = Synchronous(delay=d)
-        assert assign_delay(model, _msg(sent_at=100), rng) == 100 + d
+        assert _ticks(assign_delay(model, _msg(sender=2, sent_at=100), [0, 1, 3], rng)) == {0: 100 + d, 1: 100 + d, 3: 100 + d}
+        # the sender's own copy arrives at once, the others after the delay
+        groups = assign_delay(model, _msg(sender=2, sent_at=100), [0, 1, 2, 3], rng)
+        assert groups == ({100: [0, 1, 2, 3]} if d == 0 else {100: [2], 100 + d: [0, 1, 3]})
+        assert assign_delay(model, _msg(sender=2, sent_at=100), [2], rng) == {100: [2]}
+    assert rng.getstate() == state  # nothing is drawn
 
 
 def test_goodbad_period_arithmetic():
@@ -110,33 +127,35 @@ def test_goodbad_delay_bounds_and_laggard():
         good_len=10, bad_len=5, good_delay_bound=2, bad_delay_range=(4, 9), laggards={3: 50}
     )
     rng = random.Random(1)
-    for _ in range(200):
-        d = assign_delay(model, _msg(sent_at=3), rng) - 3
-        assert 0 <= d <= 2
-        d = assign_delay(model, _msg(sent_at=12), rng) - 12
-        assert 4 <= d <= 9
+    others = [0, 1, 2, 4, 5]
+    for _ in range(40):
+        for d in _ticks(assign_delay(model, _msg(sender=3, sent_at=3), others, rng)).values():
+            assert 50 <= d - 3 <= 52
+        for d in _ticks(assign_delay(model, _msg(sender=3, sent_at=12), others, rng)).values():
+            assert 54 <= d - 12 <= 59
     # the laggard's extra delay applies to its outgoing messages only
-    d = assign_delay(model, _msg(sender=3, sent_at=3), rng) - 3
-    assert 50 <= d <= 52
-    d = assign_delay(model, _msg(sender=2, sent_at=3), rng) - 3
-    assert d <= 2
+    for _ in range(200):
+        assert 0 <= _delay(model, _msg(sender=2, sent_at=3), rng) <= 2
+        assert 4 <= _delay(model, _msg(sender=2, sent_at=12), rng) <= 9
+    # and never to its own copy
+    assert _ticks(assign_delay(model, _msg(sender=3, sent_at=12), [1, 3], rng))[3] == 12
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2**32))
 def test_evsync_bounds_switch_at_gst(t, seed):
     model = EventuallySynchronous(post_gst_bound=8, pre_gst_delay_range=(20, 60), gst=5000)
     rng = random.Random(seed)
-    d = assign_delay(model, _msg(sent_at=t), rng) - t
-    if t >= 5000:
-        assert 0 <= d <= 8
-    else:
-        assert 20 <= d <= 60
+    for d in _ticks(assign_delay(model, _msg(sender=0, sent_at=t), [1, 2, 3], rng)).values():
+        if t >= 5000:
+            assert 0 <= d - t <= 8
+        else:
+            assert 20 <= d - t <= 60
 
 
 def test_evsync_without_gst_stays_unbounded_mode():
     model = EventuallySynchronous(post_gst_bound=1, pre_gst_delay_range=(30, 30), gst=None)
     rng = random.Random(0)
-    assert assign_delay(model, _msg(sent_at=99999), rng) == 99999 + 30
+    assert assign_delay(model, _msg(sender=1, sent_at=99999), [0, 1, 2], rng) == {99999 + 30: [0, 2], 99999: [1]}
 
 
 def test_async_burst_schedule():
@@ -155,18 +174,20 @@ def test_async_burst_hits_decisions_only():
         base_delay_range=(0, 0), burst_every_heights=8, burst_initial=120, burst_growth=3
     )
     rng = random.Random(0)
-    assert assign_delay(model, _msg(MessageKind.DECISION, height=8), rng) == 360
-    assert assign_delay(model, _msg(MessageKind.VOTE, height=8), rng) == 0
-    assert assign_delay(model, _msg(MessageKind.DECISION, height=9), rng) == 0
+    assert _delay(model, _msg(MessageKind.DECISION, height=8), rng) == 360
+    assert _delay(model, _msg(MessageKind.VOTE, height=8), rng) == 0
+    assert _delay(model, _msg(MessageKind.DECISION, height=9), rng) == 0
+    # the sender's own decision is not delayed by the burst
+    assert assign_delay(model, _msg(MessageKind.DECISION, sender=0, height=8), [0, 1], rng) == {0: [0], 360: [1]}
 
 
 def test_assign_delay_rejects_unknown_model():
     with pytest.raises(TypeError):
-        assign_delay(object(), _msg(), random.Random(0))
+        assign_delay(object(), _msg(), [0, 1], random.Random(0))
 
 
 def _reference_delay(model, msg, rng):
-    """The delay rule of every model, written out in one place."""
+    """The delay rule of every model for one remote copy, written out in one place."""
     t = msg.sent_at
     if isinstance(model, Synchronous):
         return t + model.delay
@@ -210,11 +231,19 @@ def _reference_delay(model, msg, rng):
     ],
 )
 def test_assign_delay_matches_reference_stream(model):
+    """Each remote copy draws in recipient order, the sender's own copy
+    draws nothing, and the copies are grouped by tick in recipient order."""
     kinds = list(MessageKind)
-    msgs = [
-        _msg(kinds[i % len(kinds)], sender=i % 5, height=1 + i % 9, sent_at=i * 7)
-        for i in range(200)
-    ]
     got, want = random.Random(11), random.Random(11)
-    assert [assign_delay(model, m, got) for m in msgs] == [_reference_delay(model, m, want) for m in msgs]
+    for i in range(120):
+        msg = _msg(kinds[i % len(kinds)], sender=i % 5, height=1 + i % 9, sent_at=i * 7)
+        others = random.Random(i).sample([q for q in range(40) if q != msg.sender], (0, 2, 33)[i % 3])
+        recipients = sorted(others + [msg.sender])  # 1, 3 or 34 recipients
+        expected = {}
+        for rcpt in recipients:
+            at = msg.sent_at if rcpt == msg.sender else _reference_delay(model, msg, want)
+            expected.setdefault(at, []).append(rcpt)
+        groups = assign_delay(model, msg, recipients, got)
+        assert groups == expected
+        assert all(list(group) == sorted(group) for group in groups.values())
     assert got.getstate() == want.getstate()

@@ -6,6 +6,7 @@ floor((n-1)/3) processes ever misbehave, so no committee can exceed it.
 """
 import os
 import tempfile
+from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
 
@@ -107,3 +108,40 @@ def test_no_state_kept_for_dropped_heights(doc):
     for pid, proc in engine.procs.items():
         kept = set(proc.slots) | set(proc.suspicion.accusers)
         assert min(kept, default=proc.height) >= proc.height - 1, (pid, proc.height, sorted(kept))
+
+
+class _DeliverySpy(SimulationEngine):
+    """Records (deliver_at, sender, recipient, kind, height) of each delivery,
+    and the tick and chain length after each handler that can append a block."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.delivered, self.lengths = [], []
+
+    def _on_msg(self, msg, pid, t):
+        self.delivered.append((t, msg.sender, pid, msg.kind.value, msg.height))
+        super()._on_msg(msg, pid, t)
+        self.lengths.append((t, len(self.chain)))
+
+    def _start_height(self, pid, h, t):
+        super()._start_height(pid, h, t)
+        self.lengths.append((t, len(self.chain)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(scenarios(), scenarios(laggard=True)))
+def test_deliveries_follow_the_trace_in_delivery_tick_order(doc):
+    """Copies are delivered by tick and, within a tick, in the order they were
+    sent: the trace (in send order) sorted stably by delivery tick, up to the
+    delivery the run stopped after. The GST swap and the stop follow the
+    exact handler call that brings the chain to their length."""
+    sc = parse_scenario(doc)
+    engine = _DeliverySpy(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine, record_trace=True)
+    trace = engine.run().trace
+    sent = sorted(((at, sender, rcpt, kind, h) for _, at, sender, rcpt, kind, h in trace), key=itemgetter(0))
+    assert engine.delivered == sent[: len(engine.delivered)]
+    stop = [i for i, (_, n) in enumerate(engine.lengths) if n >= sc.max_height + 1]
+    assert stop == [len(engine.lengths) - 1]
+    gst_height = getattr(sc.model, "gst_height", None)
+    if gst_height is not None and 1 < gst_height <= sc.max_height + 2:
+        assert engine.model.gst == next(t for t, n in engine.lengths if n >= gst_height - 1)

@@ -21,7 +21,8 @@ from fairsim.core import (
     genesis_to_json,
 )
 from fairsim.fairness import Classification, FairnessReport, fairness_json
-from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, selection_csv
+from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, selection_csv, trace_jsonl
+from fairsim.network import MessageKind
 from fairsim.reward import RewardMatrix
 from fairsim.selection import SelectionStats
 
@@ -87,6 +88,18 @@ def test_fairness_json_is_json_dumps_indent_2(reports, window):
         "replications": [{"replication": i, **r.to_json()} for i, r in enumerate(reports)],
     }
     assert fairness_json(window, list(enumerate(reports))) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_ticks = st.integers(0, 2**40)
+_events = st.tuples(_ticks, _ticks, _pids, _pids, st.sampled_from([k.value for k in MessageKind]), st.integers(1, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_events, max_size=30))
+def test_trace_is_json_dumps_of_each_event(events):
+    keys = ("time", "deliver_at", "sender", "recipient", "kind", "height")
+    expected = "".join(json.dumps(dict(zip(keys, ev)), sort_keys=True) + "\n" for ev in events)
+    assert trace_jsonl(events) == expected
 
 
 def _csv(rows, preamble="") -> str:
