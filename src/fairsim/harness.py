@@ -474,7 +474,7 @@ def _aggregate_csv(aggregate: Dict[int, tuple]) -> str:
     return "".join(out)
 
 
-def trace_jsonl(trace: Sequence[tuple]) -> str:
+def _trace_jsonl(trace: Sequence[tuple]) -> str:
     """trace-<rep>.jsonl: one JSON object per copy sent, keys sorted."""
     return "".join(
         f'{{"deliver_at": {at}, "height": {h}, "kind": "{kind}", "recipient": {rcpt},'
@@ -492,7 +492,7 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     for rr in reps:
         yield f"chain-{rr.index:03d}.jsonl", chain_to_jsonl(rr.result.chain)
         if rr.result.trace:
-            yield f"trace-{rr.index:03d}.jsonl", trace_jsonl(rr.result.trace)
+            yield f"trace-{rr.index:03d}.jsonl", _trace_jsonl(rr.result.trace)
     yield "rewards.csv", _rewards_csv(reps)
 
     tally = SelectionTally(scenario.genesis.population)

@@ -21,7 +21,7 @@ from fairsim.core import (
     genesis_to_json,
 )
 from fairsim.fairness import Classification, FairnessReport, fairness_json
-from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, selection_csv, trace_jsonl
+from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, _trace_jsonl, selection_csv
 from fairsim.network import MessageKind
 from fairsim.reward import RewardMatrix
 from fairsim.selection import SelectionStats
@@ -99,7 +99,7 @@ _events = st.tuples(_ticks, _ticks, _pids, _pids, st.sampled_from([k.value for k
 def test_trace_is_json_dumps_of_each_event(events):
     keys = ("time", "deliver_at", "sender", "recipient", "kind", "height")
     expected = "".join(json.dumps(dict(zip(keys, ev)), sort_keys=True) + "\n" for ev in events)
-    assert trace_jsonl(events) == expected
+    assert _trace_jsonl(events) == expected
 
 
 def _csv(rows, preamble="") -> str:
