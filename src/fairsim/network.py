@@ -132,10 +132,10 @@ def assign_delay(
     cls = type(model)
     if cls is Synchronous:
         at = t + model.delay
-        if at == t or sender not in recipients:
-            return {at: recipients}
-        others = [rcpt for rcpt in recipients if rcpt != sender]
-        return {t: [sender], at: others} if others else {t: recipients}
+        if at != t and sender in recipients:
+            others = [rcpt for rcpt in recipients if rcpt != sender]
+            return {t: [sender], at: others} if others else {t: recipients}
+        return {at: recipients} if recipients else {}
     if cls is EventuallySynchronous:
         gst = model.gst
         if gst is not None and t >= gst:

@@ -181,6 +181,24 @@ def test_async_burst_hits_decisions_only():
     assert assign_delay(model, _msg(MessageKind.DECISION, sender=0, height=8), [0, 1], rng) == {0: [0], 360: [1]}
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Synchronous(delay=0),
+        Synchronous(delay=3),
+        GoodBad(good_len=10, bad_len=5, good_delay_bound=2, bad_delay_range=(4, 9)),
+        EventuallySynchronous(post_gst_bound=8, pre_gst_delay_range=(20, 60), gst=300),
+        Asynchronous(),
+    ],
+)
+def test_a_send_to_no_one_has_no_groups(model):
+    # an empty group would still be a queue event
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert assign_delay(model, _msg(), [], rng) == {}
+    assert rng.getstate() == state
+
+
 def test_assign_delay_rejects_unknown_model():
     with pytest.raises(TypeError):
         assign_delay(object(), _msg(), [0, 1], random.Random(0))
