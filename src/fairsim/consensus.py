@@ -427,7 +427,6 @@ class SimulationEngine:
         block = Block(
             height=h,
             committee=info.committee,
-            rewards_for=h - 1,
             reward_vector=self._pending_reward.pop(h, {}),
             payload_id=info.payload,
             parent_link=self._parent_link(h),

@@ -83,17 +83,11 @@ class GenesisConfig:
 
 @dataclass
 class Block:
-    """One chain entry.
-
-    ``reward_vector`` allocates the rewards for height ``rewards_for``;
-    in the full protocol rewards for h live in the block at h+1, while the
-    selection-analysis runner credits them in the same block (rewards_for
-    == height), so the invariant is rewards_for <= height.
-    """
+    """One chain entry: the committee of ``height`` and, as in the full
+    protocol, the reward vector for height ``height - 1``."""
 
     height: int
     committee: List[ProcessId]
-    rewards_for: int
     reward_vector: Dict[ProcessId, int]
     payload_id: int
     parent_link: int
@@ -158,29 +152,6 @@ def genesis_to_json(g: GenesisConfig) -> dict:
     }
 
 
-def genesis_from_json(obj: dict) -> GenesisConfig:
-    return GenesisConfig(
-        n=obj["n"],
-        population=obj["population"],
-        selection=SelectionMechanismId(obj["selection"]),
-        reward=RewardMechanismId(obj["reward"]),
-        timeout_policy=TimeoutPolicy(obj["timeout_policy"]),
-        initial_stakes={int(k): v for k, v in obj["initial_stakes"].items()},
-        reward_per_member=obj["reward_per_member"],
-    )
-
-
-def block_from_json(obj: dict) -> Block:
-    return Block(
-        height=obj["height"],
-        committee=list(obj["committee"]),
-        rewards_for=obj["rewards_for"],
-        reward_vector={int(k): v for k, v in obj["reward_vector"].items()},
-        payload_id=obj["payload_id"],
-        parent_link=obj["parent_link"],
-    )
-
-
 def chain_to_jsonl(bc: Blockchain) -> str:
     """The chain as JSON lines: ``json.dumps(..., sort_keys=True)`` of the
     genesis, then of each block, written here from one template per block.
@@ -203,35 +174,47 @@ def chain_to_jsonl(bc: Blockchain) -> str:
             rewards = vectors[key] = ", ".join(f'"{k}": {v}' for k, v in sorted((str(k), v) for k, v in key))
         lines.append(
             f'{{"committee": [{committee}], "height": {b.height}, "parent_link": {b.parent_link},'
-            f' "payload_id": {b.payload_id}, "reward_vector": {{{rewards}}}, "rewards_for": {b.rewards_for}}}'
+            f' "payload_id": {b.payload_id}, "reward_vector": {{{rewards}}}, "rewards_for": {b.height - 1}}}'
         )
     lines.append("")
     return "\n".join(lines)
 
 
-def chain_from_jsonl(text: str) -> Blockchain:
-    """Read ``chain_to_jsonl``'s text back; blank lines are skipped.
+def chain_from_jsonl(text: str, genesis: GenesisConfig) -> Blockchain:
+    """The chain of a run of ``genesis`` from ``chain_to_jsonl``'s text.
 
-    Raises ValueError naming the first line that is not the genesis or the
-    next block.
+    Only what the run chose is read: each block's committee and reward
+    vector. The genesis line is skipped, and each block's height,
+    parent_link and payload_id are derived as the engine derives them, so a
+    stored chain that is wrong in any of them renders differently. Raises
+    ValueError naming the first line that cannot be graded: it is not JSON,
+    a field is missing, the committee is not ``genesis.n`` distinct process
+    ids, or an amount is not a non-negative integer.
     """
-    bc = None
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    n, population = genesis.n, genesis.population
+    blocks: List[Block] = []
+    link = GENESIS_HASH
+    committees: Dict[tuple, List[ProcessId]] = {}  # the distinct committees found good so far
+    for number, line in enumerate(text.splitlines()[1:], 2):
         try:
             obj = json.loads(line)
-            if bc is None:
-                bc = Blockchain(genesis=genesis_from_json(obj["genesis"]))
-            else:
-                bc.append(block_from_json(obj))
+            key, rewards = tuple(obj["committee"]), {int(k): v for k, v in obj["reward_vector"].items()}
+            committee = committees.get(key)
+            if committee is None:
+                if not (len(set(key)) == len(key) == n and all(type(p) is int and 0 <= p < population for p in key)):
+                    raise ValueError(f"the committee is not {n} distinct process ids")
+                committee = committees[key] = list(key)
+            if not all(type(amount) is int and amount >= 0 for amount in rewards.values()):
+                raise ValueError("a reward amount is not a non-negative integer")
         except KeyError as exc:
             raise ValueError(f"line {number}: no {exc} field") from None
         except (ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"line {number}: {exc}") from None
-    if bc is None:
-        raise ValueError("no genesis line")
-    return bc
+        height = len(blocks) + 1
+        block = Block(height, committee, rewards, payload_for_height(height, link), link)
+        blocks.append(block)
+        link = simulated_hash(block)
+    return Blockchain(genesis=genesis, blocks=blocks)
 
 
 def uniform_merits(population: int) -> Dict[ProcessId, Fraction]:

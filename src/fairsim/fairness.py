@@ -15,12 +15,8 @@ from .core import BehaviorKind, ProcessId, ProcessSpec
 from .reward import RewardMatrix
 
 
-class AnalyzerError(ValueError):
-    pass
-
-
-class InsufficientTrace(AnalyzerError):
-    pass
+class InsufficientTrace(ValueError):
+    """Run shorter than the requested fairness window."""
 
 
 @dataclass
@@ -165,7 +161,6 @@ def build_report(
     matrix: RewardMatrix,
     committees: Dict[int, List[ProcessId]],
     truth: GroundTruth,
-    population: int,
     stabilization_window: int,
     static_complete: bool = False,
     static_accurate: bool = False,

@@ -200,10 +200,11 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     ]
 
     # when every process sits on every committee, the Byzantine bound can be
-    # checked before running; otherwise the engine checks each committee
+    # checked before running; otherwise the engine checks each committee. At
+    # a height no behaviour names, every member is correct.
     if size == n and not engine.allow_quorum_violation:
         try:
-            for h in range(1, max_height + 2):
+            for h in sorted({h for spec in specs for h in spec.behavior}):
                 check_committee(specs, h)
         except QuorumImpossible as exc:
             raise ScenarioError("population.behaviors", str(exc)) from None
@@ -348,7 +349,6 @@ def grade(scenario: Scenario, matrix: RewardMatrix, committees: Dict[int, List[P
         matrix=matrix,
         committees=committees,
         truth=GroundTruth.from_specs(scenario.specs),
-        population=scenario.genesis.population,
         stabilization_window=scenario.window,
         static_complete=static_complete,
         static_accurate=static_accurate,

@@ -15,14 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .core import Block, Blockchain, ProcessId, SelectionMechanismId
-
-
-class SelectionError(ValueError):
-    pass
-
-
-class InsufficientTrace(SelectionError):
-    """Run shorter than the requested fairness window."""
+from .fairness import InsufficientTrace
 
 
 class SelectionState:
@@ -49,8 +42,6 @@ class SelectionState:
     def committee(self, height: int) -> List[ProcessId]:
         N, n, mech = self.population, self.n, self.mech
         if mech is SelectionMechanismId.SELECT_ALL:
-            if n != N:
-                raise SelectionError("select-all requires committee size == population")
             return list(range(N))
         if mech is SelectionMechanismId.ROUND_ROBIN:
             return [((height - 1) * n + j) % N for j in range(n)]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,6 @@ def _block(height, parent, committee=(0, 1, 2, 3), rewards=None):
     return Block(
         height=height,
         committee=list(committee),
-        rewards_for=height - 1,
         reward_vector=rewards or {},
         payload_id=payload,
         parent_link=parent,
@@ -99,7 +99,7 @@ def test_chain_validate_empty():
 def test_jsonl_roundtrip():
     bc = build_chain(4)
     text = chain_to_jsonl(bc)
-    back = chain_from_jsonl(text)
+    back = chain_from_jsonl(text, bc.genesis)
     assert back.genesis == bc.genesis
     assert back.blocks == bc.blocks
     # genesis rides on the first line
@@ -109,7 +109,30 @@ def test_jsonl_roundtrip():
 
 def test_jsonl_is_stable():
     bc = build_chain(4)
-    assert chain_to_jsonl(bc) == chain_to_jsonl(chain_from_jsonl(chain_to_jsonl(bc)))
+    assert chain_to_jsonl(bc) == chain_to_jsonl(chain_from_jsonl(chain_to_jsonl(bc), bc.genesis))
+
+
+def _without_committee(block):
+    del block["committee"]
+    return block
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without_committee, "line 3: no 'committee' field"),
+        (lambda b: {**b, "committee": None}, "line 3: 'NoneType' object is not iterable"),
+        (lambda b: {**b, "committee": [0, 1, 2, 4]}, "line 3: the committee is not 4 distinct process ids"),
+        (lambda b: {**b, "reward_vector": {"0": 1.0}}, "line 3: a reward amount is not a non-negative integer"),
+        (lambda b: {**b, "reward_vector": {"x": 1}}, "line 3: invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_jsonl_reader_names_a_line_that_cannot_be_graded(edit, message):
+    bc = build_chain(4)
+    lines = chain_to_jsonl(bc).splitlines()
+    lines[2] = json.dumps(edit(json.loads(lines[2])))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chain_from_jsonl("\n".join(lines), bc.genesis)
 
 
 def test_uniform_merits_sum_to_one():

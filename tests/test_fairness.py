@@ -128,7 +128,6 @@ def test_build_report_witnesses():
         matrix=m,
         committees={1: [0, 1, 2], 2: [0, 1, 2]},
         truth=_truth({2: [2]}),
-        population=4,
         stabilization_window=1,
     )
     assert report.classification is Classification.NONE

@@ -124,6 +124,22 @@ def test_heights_past_the_run_are_not_expanded():
     assert specs([0, -3, 9, 1, 202, 10**12]) == specs([9, 1])
 
 
+def test_select_all_byzantine_bound_visits_only_the_named_heights():
+    """The parse-time Byzantine check under select_all reads only the heights
+    some behaviour names, so a run of a million heights parses at once."""
+    doc = _doc(max_height=10**6)
+    doc["population"]["behaviors"] = [
+        {"process": 1, "kind": "silent", "heights": [5, 999_999]},
+        {"process": 2, "kind": "equivocate", "heights": [999_999]},
+    ]
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.path == "population.behaviors"
+    assert exc.value.message == "height 999999: 2 Byzantine members in a committee of 4; at most 1 tolerated"
+
+
 def test_run_scenario_writes_expected_files(tmp_path):
     sc = parse_scenario(_doc(replications=2))
     run_scenario(sc, out_dir=str(tmp_path))
@@ -275,12 +291,14 @@ def _genesis_only(out):
     path.write_text(path.read_text().splitlines()[0] + "\n")
 
 
-def _broken_parent_link(out):
+def _edit_chain_line(out, number, edit):
+    """Rewrite line ``number`` (0 is the genesis) of chain-000.jsonl with
+    ``edit`` applied to its JSON object, as a run writes it."""
     path = out / "chain-000.jsonl"
     lines = path.read_text().splitlines(keepends=True)
-    block = json.loads(lines[3])
-    block["parent_link"] += 1
-    lines[3] = json.dumps(block, sort_keys=True) + "\n"
+    obj = json.loads(lines[number])
+    edit(obj)
+    lines[number] = json.dumps(obj, sort_keys=True) + "\n"
     path.write_text("".join(lines))
 
 
@@ -290,7 +308,8 @@ def _broken_parent_link(out):
         ("chain-000.jsonl", lambda out: (out / "chain-000.jsonl").write_text("")),
         ("chain-000.jsonl", _genesis_only),
         ("chain-000.jsonl", _truncate_last_line),
-        ("chain-000.jsonl", _broken_parent_link),
+        ("chain-000.jsonl", lambda out: _edit_chain_line(out, 3, lambda b: b.update(committee=[0, 1, 1, 2]))),
+        ("chain-000.jsonl", lambda out: _edit_chain_line(out, 3, lambda b: b.update(reward_vector={"0": -1}))),
         ("chain-000.jsonl", lambda out: (out / "chain-000.jsonl").unlink()),
         ("fairness.json", lambda out: (out / "fairness.json").write_text("[]")),
         ("fairness.json", lambda out: (out / "fairness.json").write_text("{")),
@@ -309,12 +328,33 @@ def test_check_of_a_malformed_output_dir_is_one_json_line(tmp_path, capsys, fiel
     assert json.loads(lines[0])["error"]["field"] == field
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [(3, "parent_link"), (3, "payload_id"), (3, "rewards_for"), (3, "height"), (0, "n")],
+)
+def test_check_names_a_chain_whose_derived_field_is_wrong(tmp_path, capsys, line, key):
+    """The genesis line (line 0) and each block's derived fields come from
+    the scenario, so a wrong one makes the chain render differently, and
+    nothing else."""
+    def bump(obj):
+        (obj["genesis"] if line == 0 else obj)[key] += 1
+
+    out = tmp_path / "o"
+    run_scenario(parse_scenario(_doc()), out_dir=str(out))
+    _edit_chain_line(out, line, bump)
+    capsys.readouterr()
+    assert cli_main(["check", "--out", str(out)]) == 1
+    assert "chain-000.jsonl" in capsys.readouterr().err
+    summary = json.loads((out / "fairness-check.json").read_text())
+    assert [n for n, status in summary["files"].items() if status != "matches"] == ["chain-000.jsonl"]
+
+
 def test_matrix_from_chain_reconstruction(tmp_path):
     sc = parse_scenario(_doc())
     res = run_scenario(sc)
     rr = res.replications[0]
     # the matrix rebuilt from the serialized chain is the one the run graded
-    matrix, committees = matrix_from_chain(chain_from_jsonl(chain_to_jsonl(rr.result.chain)))
+    matrix, committees = matrix_from_chain(chain_from_jsonl(chain_to_jsonl(rr.result.chain), sc.genesis))
     assert matrix.heights() == rr.result.matrix.heights()
     assert committees == rr.result.committees
     for h in matrix.heights():

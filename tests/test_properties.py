@@ -91,7 +91,7 @@ def test_engine_invariants(doc):
         assert chain_validate(chain)
         assert len(chain) == doc["max_height"] + 1
         for block in chain.blocks[1:]:
-            committee = chain.block_at(block.rewards_for).committee
+            committee = chain.block_at(block.height - 1).committee
             assert set(block.reward_vector) <= set(committee), block.height
         # check re-derives every file the run wrote, byte for byte
         files = regrade_output_dir(out)["files"]

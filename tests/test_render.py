@@ -40,7 +40,6 @@ _blocks = st.builds(
     Block,
     height=st.integers(1, 10**6),
     committee=st.lists(_pids, max_size=8),
-    rewards_for=st.integers(0, 10**6),
     reward_vector=st.dictionaries(_pids, st.integers(0, 10**12), max_size=12),
     payload_id=st.integers(0, 2**40),
     parent_link=st.integers(0, 2**80),
@@ -51,7 +50,7 @@ def _block_dict(b: Block) -> dict:
     return {
         "height": b.height,
         "committee": b.committee,
-        "rewards_for": b.rewards_for,
+        "rewards_for": b.height - 1,
         "reward_vector": {str(k): v for k, v in b.reward_vector.items()},
         "payload_id": b.payload_id,
         "parent_link": b.parent_link,

@@ -17,7 +17,6 @@ from fairsim.core import (
 )
 from fairsim.selection import (
     InsufficientTrace,
-    SelectionError,
     SelectionState,
     SelectionTally,
     check_selection_fairness,
@@ -28,7 +27,7 @@ from fairsim.selection import (
 
 
 def _block(height, committee, reward_vector):
-    return Block(height, committee, height, reward_vector, payload_id=0, parent_link=0)
+    return Block(height, committee, reward_vector, payload_id=0, parent_link=0)
 
 
 def _state(stakes, mech, n=2, counts=None):
@@ -52,10 +51,8 @@ def test_fewest_selections():
     assert _state([0, 0, 0, 0], S.FEWEST_SELECTIONS, counts=[3, 1, 1, 5]).committee(1) == [1, 2]
 
 
-def test_select_all_requires_full_population():
+def test_select_all_selects_the_whole_population():
     assert _state([0, 0, 0], S.SELECT_ALL, n=3).committee(1) == [0, 1, 2]
-    with pytest.raises(SelectionError):
-        _state([0, 0, 0], S.SELECT_ALL, n=2).committee(1)
 
 
 def test_round_robin_wraps():
@@ -81,7 +78,6 @@ def _random_chain(rng, population, n, length):
         block = Block(
             height=h,
             committee=committee,
-            rewards_for=h - 1,
             reward_vector={pid: 1 for pid in rewarded},
             payload_id=payload_for_height(h, parent),
             parent_link=parent,
