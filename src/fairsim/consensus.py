@@ -26,10 +26,10 @@ message for any past height can still be in flight.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Collection, Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .core import (
+    EMPTY_MAPPING,
     GENESIS_HASH,
     BehaviorKind,
     Block,
@@ -130,50 +130,49 @@ def collect_decisions(
     return {q for q, t in decision_deliveries.items() if q in committee and t <= deadline}
 
 
-@dataclass
-class EngineConfig:
+class EngineConfig(NamedTuple):
     delta0: int = 5
     delta_increment: int = 5
     round_ticks: int = 100
     allow_quorum_violation: bool = False
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     chain: Blockchain
     committees: Dict[int, List[ProcessId]]
     matrix: RewardMatrix
     # what only the engine saw; a result rebuilt from a stored chain has none of it
-    to_reward: Dict[ProcessId, Dict[int, Set[ProcessId]]] = field(default_factory=dict)
-    decided_at: Dict[ProcessId, Dict[int, SimTime]] = field(default_factory=dict)
+    to_reward: Mapping[ProcessId, Dict[int, Set[ProcessId]]] = EMPTY_MAPPING
+    decided_at: Mapping[ProcessId, Dict[int, SimTime]] = EMPTY_MAPPING
     # one (time, deliver_at, sender, recipient, kind value, height) per copy sent
-    trace: List[tuple] = field(default_factory=list)
+    trace: Sequence[tuple] = ()
     finished_at: SimTime = 0
 
 
-@dataclass(slots=True)
 class _Slot:
     """One process's state for one height."""
 
-    proposal_seen: bool = False
-    voted: bool = False  # the vote step ran: a vote, an equivocation or nothing
-    votes: Set[ProcessId] = field(default_factory=set)
-    deliveries: Dict[ProcessId, SimTime] = field(default_factory=dict)  # sender -> first valid decision
-    heard: Set[ProcessId] = field(default_factory=set)  # every sender; read only under the synchronous model
+    __slots__ = ("proposal_seen", "voted", "votes", "deliveries", "heard")
+
+    def __init__(self) -> None:
+        self.proposal_seen = self.voted = False  # voted: the vote step ran (a vote, an equivocation or nothing)
+        self.votes: Set[ProcessId] = set()
+        self.deliveries: Dict[ProcessId, SimTime] = {}  # sender -> first valid decision
+        self.heard: Set[ProcessId] = set()  # every sender; read only under the synchronous model
 
 
-@dataclass(slots=True)
 class _Proc:
     # slot h and the accusations for h live from the first delivery for h
     # until the process starts h+2; decided and to_reward (the run's result)
     # and accused (so a late bogus message is not accused twice) keep every h
-    delta: int
-    suspicion: SuspicionState
-    height: int = 0
-    slots: Dict[int, _Slot] = field(default_factory=dict)
-    decided: Dict[int, SimTime] = field(default_factory=dict)
-    to_reward: Dict[int, Set[ProcessId]] = field(default_factory=dict)
-    accused: Set[Tuple[int, ProcessId]] = field(default_factory=set)
+    __slots__ = ("delta", "suspicion", "height", "slots", "decided", "to_reward", "accused")
+
+    def __init__(self, delta: int, suspicion: SuspicionState) -> None:
+        self.delta, self.suspicion, self.height = delta, suspicion, 0
+        self.slots: Dict[int, _Slot] = {}
+        self.decided: Dict[int, SimTime] = {}
+        self.to_reward: Dict[int, Set[ProcessId]] = {}
+        self.accused: Set[Tuple[int, ProcessId]] = set()
 
 
 class _Height:
@@ -462,7 +461,7 @@ class SimulationEngine:
         before gst_height; the chain length at which the run loop next acts."""
         gst_len = self._gst_len
         if gst_len is not None and len(self.chain) >= gst_len:
-            self.model = replace(self.model, gst=t)
+            self.model = self.model._replace(gst=t)
             self._gst_len = gst_len = None
         # the block after max_height carries max_height's rewards
         stop_len = self.max_height + 1

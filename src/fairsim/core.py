@@ -7,10 +7,10 @@ cryptography: nothing downstream depends on hash security.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 ProcessId = int
 
@@ -33,6 +33,7 @@ class BehaviorKind(Enum):
 # bound once: behavior_at is on the engine's hot path, and reading a member off
 # its Enum class costs several times a module global
 _CORRECT = BehaviorKind.CORRECT
+EMPTY_MAPPING: Mapping = MappingProxyType({})  # a mapping field's default, shared by every instance
 
 
 class SelectionMechanismId(Enum):
@@ -55,21 +56,19 @@ class TimeoutPolicy(Enum):
     MODULABLE = "modulable"
 
 
-@dataclass
-class ProcessSpec:
+class ProcessSpec(NamedTuple):
     """Identity, merit, initial stake and per-height behavior of one process."""
 
     id: ProcessId
     merit: Fraction
     initial_stake: int
-    behavior: Dict[int, BehaviorKind] = field(default_factory=dict)
+    behavior: Mapping[int, BehaviorKind] = EMPTY_MAPPING
 
     def behavior_at(self, height: int) -> BehaviorKind:
         return self.behavior.get(height, _CORRECT)
 
 
-@dataclass
-class GenesisConfig:
+class GenesisConfig(NamedTuple):
     """Public run configuration every process knows up front."""
 
     n: int
@@ -77,12 +76,11 @@ class GenesisConfig:
     selection: SelectionMechanismId
     reward: RewardMechanismId
     timeout_policy: TimeoutPolicy = TimeoutPolicy.FIXED
-    initial_stakes: Dict[ProcessId, int] = field(default_factory=dict)
+    initial_stakes: Mapping[ProcessId, int] = EMPTY_MAPPING
     reward_per_member: int = 1
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     """One chain entry: the committee of ``height`` and, as in the full
     protocol, the reward vector for height ``height - 1``."""
 
@@ -93,10 +91,11 @@ class Block:
     parent_link: int
 
 
-@dataclass
 class Blockchain:
-    genesis: GenesisConfig
-    blocks: List[Block] = field(default_factory=list)
+    __slots__ = ("genesis", "blocks")
+
+    def __init__(self, genesis: GenesisConfig, blocks: Optional[List[Block]] = None) -> None:
+        self.genesis, self.blocks = genesis, [] if blocks is None else blocks
 
     def __len__(self) -> int:
         return len(self.blocks)

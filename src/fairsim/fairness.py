@@ -7,9 +7,8 @@ height iff it was scheduled correct there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import BehaviorKind, ProcessId, ProcessSpec
 from .reward import RewardMatrix
@@ -19,17 +18,16 @@ class InsufficientTrace(ValueError):
     """Run shorter than the requested fairness window."""
 
 
-@dataclass
 class GroundTruth:
     """Which processes actually followed the protocol at each height."""
 
-    behaviors: Dict[ProcessId, Dict[int, BehaviorKind]]
-    # height -> the processes not scheduled correct there, indexed once
-    _faulty: Dict[int, FrozenSet[ProcessId]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("behaviors", "_faulty")
 
-    def __post_init__(self) -> None:
+    def __init__(self, behaviors: Dict[ProcessId, Dict[int, BehaviorKind]]) -> None:
+        self.behaviors = behaviors
+        # height -> the processes not scheduled correct there, indexed once
         faulty: Dict[int, Set[ProcessId]] = {}
-        for pid, schedule in self.behaviors.items():
+        for pid, schedule in behaviors.items():
             for h, kind in schedule.items():
                 if kind is not BehaviorKind.CORRECT:
                     faulty.setdefault(h, set()).add(pid)
@@ -83,8 +81,7 @@ class Classification(Enum):
     NONE = "none"
 
 
-@dataclass
-class FairnessReport:
+class FairnessReport(NamedTuple):
     grades: Dict[int, HeightGrade]
     classification: Classification
     # first height of the clean suffix when (eventually) fair; 1 for fair runs
@@ -92,7 +89,7 @@ class FairnessReport:
     # observational facts, independent of the headline label
     complete_rows_ok: bool
     accurate_rows_ok: bool
-    witnesses: List[Tuple[int, ProcessId, str]] = field(default_factory=list)
+    witnesses: Sequence[Tuple[int, ProcessId, str]] = ()
 
     def to_json(self) -> dict:
         return {

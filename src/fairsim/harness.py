@@ -18,9 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_committee
 from .core import (
@@ -54,8 +53,7 @@ class ScenarioError(ValueError):
         return {"error": {"field": self.path, "message": self.message}}
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     specs: List[ProcessSpec]
     genesis: GenesisConfig
@@ -65,7 +63,7 @@ class Scenario:
     replications: int
     engine: EngineConfig
     window: int  # stabilization window of the fairness analyzer
-    raw: dict = field(default_factory=dict)
+    raw: dict  # the validated document, as scenario-echo.json echoes it
 
 
 # -- scenario parsing --------------------------------------------------------
@@ -263,10 +261,11 @@ def _per_process(obj: dict, path: str, size: int) -> Dict[ProcessId, int]:
         raise ScenarioError(path, "must be a {process id: non-negative integer} mapping")
     out = {}
     for key in obj:
-        pid = str(key)
-        if not (pid.isdecimal() and int(pid) < size):
-            raise ScenarioError(path, f"{key!r} is not a process id in [0, {size})")
-        out[int(pid)] = _ticks(obj, key, path)
+        # only str(pid) names process pid, so no two keys name one process
+        pid = int(key) if type(key) is str and key.isdecimal() and len(key) <= len(str(size)) else size
+        if pid >= size or str(pid) != key:
+            raise ScenarioError(path, f"{key!r} is not a process id in [0, {size}) written as str(id)")
+        out[pid] = _ticks(obj, key, path)
     return out
 
 
@@ -320,15 +319,13 @@ def _parse_network(net: dict, size: int):
 
 # -- running -----------------------------------------------------------------
 
-@dataclass
-class ReplicationResult:
+class ReplicationResult(NamedTuple):
     index: int
     result: RunResult
     report: FairnessReport
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     scenario: Scenario
     replications: List[ReplicationResult]
     # height -> (mean, std over processes x replications, std over replication means)

@@ -13,10 +13,11 @@ delivery event.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from .core import EMPTY_MAPPING
 
 SimTime = int
 
@@ -31,24 +32,36 @@ class MessageKind(Enum):
 _DECISION = MessageKind.DECISION
 
 
-@dataclass(frozen=True, slots=True)
 class Message:
-    sender: int
-    height: int
-    kind: MessageKind
-    payload: int  # payload_id, or the suspect id for suspicion messages
-    sent_at: SimTime = 0
+    """One send, shared by all of its recipients, so no field can be assigned
+    or deleted. Slots, not a tuple: handlers read them on every delivery."""
+
+    __slots__ = ("sender", "height", "kind", "payload", "sent_at")  # payload: payload_id, or a suspect's id
+
+    def __init__(self, sender: int, height: int, kind: MessageKind, payload: int, sent_at: SimTime = 0) -> None:
+        # each slot's own descriptor writes it, past __setattr__
+        _set_sender(self, sender)
+        _set_height(self, height)
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_sent_at(self, sent_at)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a Message is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Synchronous:
+_set_sender, _set_height, _set_kind, _set_payload, _set_sent_at = (vars(Message)[f].__set__ for f in Message.__slots__)
+
+
+class Synchronous(NamedTuple):
     """Every message is delivered exactly ``delay`` ticks after sending."""
 
     delay: int = 0
 
 
-@dataclass(frozen=True)
-class GoodBad:
+class GoodBad(NamedTuple):
     """Alternating good/bad periods, starting with a good one.
 
     Delays are drawn per point-to-point message from the period active at
@@ -61,15 +74,14 @@ class GoodBad:
     bad_len: int
     good_delay_bound: int
     bad_delay_range: Tuple[int, int]
-    laggards: Dict[int, int] = field(default_factory=dict)
+    laggards: Mapping[int, int] = EMPTY_MAPPING
 
     def in_good_period(self, t: SimTime) -> bool:
         cycle = self.good_len + self.bad_len
         return (t % cycle) < self.good_len
 
 
-@dataclass(frozen=True)
-class EventuallySynchronous:
+class EventuallySynchronous(NamedTuple):
     """Unbounded delays before GST, bounded by ``post_gst_bound`` after.
 
     ``gst`` may be left unset and activated later via ``gst_height``: the
@@ -84,8 +96,7 @@ class EventuallySynchronous:
     gst_height: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Asynchronous:
+class Asynchronous(NamedTuple):
     """No delay bound. Calm heights draw from ``base_delay_range``; every
     ``burst_every_heights``-th height, decision messages are delayed by an
     exponentially growing burst, which outpaces any additive timeout
@@ -105,7 +116,7 @@ class Asynchronous:
         return self.burst_initial * self.burst_growth ** (height // k)
 
 
-NetworkModel = object  # one of the four dataclasses above
+NetworkModel = object  # one of the four model classes above
 
 
 # Each model's branch adds its fixed offsets (the low end of its range, a

@@ -9,8 +9,7 @@ within floor((n-1)/3).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import Blockchain, ProcessId, RewardMechanismId
 
@@ -73,12 +72,13 @@ def matrix_from_chain(chain: Blockchain) -> Tuple[RewardMatrix, Dict[int, List[P
     return matrix, committees
 
 
-@dataclass
 class SuspicionState:
     """Accusations delivered to one process: height -> suspect -> accusers."""
 
-    n: int
-    accusers: Dict[int, Dict[ProcessId, Set[ProcessId]]] = field(default_factory=dict)
+    __slots__ = ("n", "accusers")
+
+    def __init__(self, n: int, accusers: Optional[Dict[int, Dict[ProcessId, Set[ProcessId]]]] = None) -> None:
+        self.n, self.accusers = n, {} if accusers is None else accusers
 
     def accuse(self, height: int, suspect: ProcessId, accuser: ProcessId) -> None:
         self.accusers.setdefault(height, {}).setdefault(suspect, set()).add(accuser)

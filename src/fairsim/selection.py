@@ -10,9 +10,8 @@ the processes credited since have moved, so the sort merges about two runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from .core import Block, Blockchain, ProcessId, SelectionMechanismId
 from .fairness import InsufficientTrace
@@ -61,8 +60,7 @@ def select(bc: Blockchain, height: int, mech: SelectionMechanismId) -> List[Proc
     return state.committee(height)
 
 
-@dataclass
-class SelectionStats:
+class SelectionStats(NamedTuple):
     """Per-process selection tallies over a finite run."""
 
     counts: Dict[ProcessId, int]
@@ -103,8 +101,7 @@ class SelectionTally:
         )
 
 
-@dataclass
-class SelectionFairnessVerdict:
+class SelectionFairnessVerdict(NamedTuple):
     condition1_ok: bool
     condition2_ok: bool
     fair: bool

@@ -72,8 +72,7 @@ def test_hash_distinguishes_heights(h1, h2):
 
 def test_hash_distinguishes_payloads():
     a = _block(3, 0)
-    b = _block(3, 0)
-    b.payload_id += 1
+    b = a._replace(payload_id=a.payload_id + 1)
     assert simulated_hash(a) != simulated_hash(b)
 
 
@@ -88,7 +87,7 @@ def test_append_requires_contiguous_heights():
 def test_chain_validate():
     bc = build_chain(5)
     assert chain_validate(bc)
-    bc.blocks[2].parent_link += 1
+    bc.blocks[2] = bc.blocks[2]._replace(parent_link=bc.blocks[2].parent_link + 1)
     assert not chain_validate(bc)
 
 

@@ -624,6 +624,13 @@ def _over_byzantine_bound(doc):
         ("network.laggards", _network("good_bad", laggards=[3])),
         ("network.laggards.3", _network("good_bad", laggards={"3": -4})),
         ("network.laggards", _network("good_bad", laggards={"-1": 4})),
+        # only str(pid) names a process, so no two keys collapse into one
+        ("population.stakes", _stakes({"3": 1, "03": 7, "\u0663": 9})),
+        ("population.stakes", _stakes({"03": 7})),
+        ("population.stakes", _stakes({"\u0663": 9})),
+        ("population.stakes", _stakes({"1" * 5000: 1})),
+        ("network.laggards", _network("good_bad", laggards={"3": 60, "03": 60})),
+        ("network.laggards", _network("good_bad", laggards={"\u0663": 60})),
         ("network.burst_initial", _network("asynchronous", burst_initial=-1)),
         ("network.burst_growth", _network("asynchronous", burst_growth="2")),
         ("network.burst_every_heights", _network("asynchronous", burst_every_heights=-8)),

@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import random
 
@@ -27,8 +26,13 @@ def test_message_is_frozen():
     # one Message is shared by every recipient of a send, so no handler may
     # change it under the others
     msg = _msg()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         msg.payload = 1
+    with pytest.raises(AttributeError):
+        del msg.payload
+    with pytest.raises(AttributeError):
+        msg.extra = 1
+    assert (msg.sender, msg.height, msg.kind, msg.payload, msg.sent_at) == (0, 1, MessageKind.VOTE, 0, 0)
 
 
 def test_queue_orders_by_time_then_fifo():
