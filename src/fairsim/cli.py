@@ -136,7 +136,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(json.dumps({"error": {"field": None, "message": str(exc)}}), file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Repeated-consensus engine.
 
-Each process walks the per-height state machine: compute the committee,
-solve an abstracted propose/vote/decide round inside it (or wait for
+Each process walks the per-height state machine: solve an abstracted
+propose/vote/decide round inside the height's committee (or wait for
 decision evidence from outside), then keep collecting decision messages
 for its timeout window before starting the next height. The reward for a
 height rides in the next block, proposed by the first correct proposer of
@@ -12,6 +12,11 @@ a height is a deterministic function of the chain, members vote for it
 once they see a proposal carrying it, and a quorum of ceil(2n/3) votes
 decides. Everything the fairness analysis cares about is the timing of
 the messages around decisions, which this preserves.
+
+A height opens when its parent block lands: appending block h fixes height
+h+1's committee, parent link and valid payload (height 1 opens on genesis).
+A GST set by ``gst_height`` follows the handler that decides block
+gst_height - 1.
 
 A process drops its state for height h when it starts h+2, once
 ``_on_collect(h)`` and ``_reward_proposal(h+1)`` have read it; a later
@@ -176,17 +181,18 @@ class _Proc:
 
 
 class _Height:
-    """What is fixed for one height once its committee is known."""
+    """What is fixed for one height once its parent block is on the chain."""
 
-    __slots__ = ("committee", "members", "order", "quorum", "evidence", "payload")
+    __slots__ = ("committee", "members", "order", "quorum", "evidence", "parent_link", "payload")
 
-    def __init__(self, committee: List[ProcessId], payload: int) -> None:
+    def __init__(self, h: int, committee: List[ProcessId], parent_link: int) -> None:
         self.committee = committee
         self.members = frozenset(committee)
         self.order = sorted(committee)
         self.quorum = quorum_size(len(committee))
         self.evidence = evidence_threshold(len(committee))
-        self.payload = payload
+        self.parent_link = parent_link
+        self.payload = payload_for_height(h, parent_link)
 
 
 # deterministic bogus payload offsets for equivocating senders
@@ -221,45 +227,28 @@ class SimulationEngine:
         self.trace: List[tuple] = []
 
         self._heights: Dict[int, _Height] = {}
-        # heights up to this one are dropped from _heights
-        self._dropped = 0
         # height -> processes that have started it, until all of them have
         self._started: Dict[int, int] = {}
         self._everyone = list(range(self.population))
         self._sel_state = SelectionState(self.population, self.n, genesis.selection, genesis.initial_stakes)
-        self._sel_applied = 0
         self._pending_reward: Dict[int, Dict[ProcessId, int]] = {}
         self._sync_omission = isinstance(model, Synchronous)
-        # an eventually synchronous model without a GST tick is swapped for a
-        # copy with one when the chain reaches this length (None: no swap due)
-        self._gst_len = None
+        # an eventually synchronous model without a GST tick gets one when
+        # block gst_height - 1 is decided (None: no swap due)
+        self._gst_block = None
         if isinstance(model, EventuallySynchronous) and model.gst is None and model.gst_height is not None:
-            self._gst_len = model.gst_height - 1
+            if model.gst_height <= 1:
+                self.model = model._replace(gst=0)
+            else:
+                self._gst_block = model.gst_height - 1
 
     # -- plumbing -----------------------------------------------------------
 
-    def _height(self, h: int) -> _Height:
-        info = self._heights.get(h)
-        if info is not None:
-            return info
-        if h <= self._dropped:
-            raise RuntimeError(f"height {h} was dropped once every process had started {h + 2}")
-        if len(self.chain) < h - 1:
-            raise RuntimeError(f"committee for height {h} requested too early")
-        while self._sel_applied < h - 1:
-            self._sel_state.apply_block(self.chain.blocks[self._sel_applied])
-            self._sel_applied += 1
+    def _open(self, h: int, parent_link: int) -> None:
+        """Fix height h's committee and valid payload once ``parent_link``'s block h-1 has landed."""
         committee = self._sel_state.committee(h)
-        specs = [self.specs[pid] for pid in committee]
-        check_committee(specs, h, self.config.allow_quorum_violation)
-        # a height starts only once block h-1 is on the chain, so its valid
-        # payload is fixed from here on
-        info = _Height(committee, payload_for_height(h, self._parent_link(h)))
-        self._heights[h] = info
-        return info
-
-    def _parent_link(self, h: int) -> int:
-        return GENESIS_HASH if h == 1 else simulated_hash(self.chain.block_at(h - 1))
+        check_committee([self.specs[pid] for pid in committee], h, self.config.allow_quorum_violation)
+        self._heights[h] = _Height(h, committee, parent_link)
 
     def _send(
         self,
@@ -297,8 +286,7 @@ class SimulationEngine:
             # reads its payload off the chain
             self._started.pop(h, None)
             self._heights.pop(h - 2, None)
-            self._dropped = h - 2
-        info = self._height(h)
+        info = self._heights[h]
         if pid in info.members:
             self._on_round(pid, h, 0, t)
         slot = st.slots.get(h)
@@ -310,13 +298,13 @@ class SimulationEngine:
         # carries, until the block is on the chain
         if len(self.chain) < h and h not in self._pending_reward:
             self._pending_reward[h] = self._reward_proposal(pid, h)
-        info = self._height(h)
+        info = self._heights[h]
         self._send(pid, info.order, _PROPOSE, h, info.payload, t)
 
     def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, t: SimTime) -> None:
         """Send one bogus payload to the lower half of the other members and
         another to the upper half."""
-        info = self._height(h)
+        info = self._heights[h]
         peers = [q for q in info.order if q != pid]
         half = len(peers) // 2
         self._send(pid, peers[:half], kind, h, info.payload + _BOGUS_A, t)
@@ -329,7 +317,7 @@ class SimulationEngine:
         st = self.procs[pid]
         return allocate(
             mech=self.genesis.reward,
-            committee=self._height(prev).committee,
+            committee=self._heights[prev].committee,
             to_reward=st.to_reward.get(prev, set()),
             incorrect=st.suspicion.confirmed(prev),
             reward_per_member=self.genesis.reward_per_member,
@@ -339,7 +327,7 @@ class SimulationEngine:
         st = self.procs[pid]
         if st.height != h or h in st.decided:
             return
-        order = self._height(h).order
+        order = self._heights[h].order
         if order[r % len(order)] == pid:
             behavior = self.specs[pid].behavior_at(h)
             if behavior is _CORRECT:
@@ -370,7 +358,7 @@ class SimulationEngine:
             st.suspicion.accuse(h, msg.payload, msg.sender)
             return
 
-        # the sender looked up this height's record before sending, and it is
+        # height h opened before anyone could send for it, and its record is
         # dropped only once this process has started h+2
         info = self._heights[h]
         if msg.payload != info.payload:
@@ -421,20 +409,21 @@ class SimulationEngine:
         if pid in info.members and self.specs[pid].behavior_at(h) is not _SILENT:
             self._send(pid, self._everyone, _DECISION, h, info.payload, t)
         self.queue.push(t + st.delta, ("collect", pid, h))
+        if h == self._gst_block:
+            # the first decision of h appended block h
+            self.model, self._gst_block = self.model._replace(gst=t), None
 
     def _append_block(self, h: int, info: _Height) -> None:
-        block = Block(
-            height=h,
-            committee=info.committee,
-            reward_vector=self._pending_reward.pop(h, {}),
-            payload_id=info.payload,
-            parent_link=self._parent_link(h),
-        )
+        """Put block h on the chain and open height h+1, unless h is the run's last block."""
+        block = Block(h, info.committee, self._pending_reward.pop(h, {}), info.payload, info.parent_link)
         self.chain.append(block)
+        self._sel_state.apply_block(block)
+        if h <= self.max_height:
+            self._open(h + 1, simulated_hash(block))
 
     def _on_collect(self, pid: ProcessId, h: int, t: SimTime) -> None:
         st = self.procs[pid]
-        info = self._height(h)
+        info = self._heights[h]
         # deciding h took a delivery for h, so its slot exists
         slot = st.slots[h]
         st.to_reward[h] = collect_decisions(slot.deliveries, st.decided[h], t - st.decided[h], info.members)
@@ -456,28 +445,18 @@ class SimulationEngine:
 
     # -- main loop ----------------------------------------------------------
 
-    def _watermark(self, t: SimTime) -> int:
-        """Swap in the GST tick ``t`` if the chain has reached the height
-        before gst_height; the chain length at which the run loop next acts."""
-        gst_len = self._gst_len
-        if gst_len is not None and len(self.chain) >= gst_len:
-            self.model = self.model._replace(gst=t)
-            self._gst_len = gst_len = None
-        # the block after max_height carries max_height's rewards
-        stop_len = self.max_height + 1
-        return stop_len if gst_len is None else min(gst_len, stop_len)
-
     def _deliver(self) -> SimTime:
-        """Handle events until the chain holds max_height + 1 blocks or the
-        queue runs dry; the tick at which it stopped.
+        """Open height 1, then handle events until the chain holds
+        max_height + 1 blocks or the queue runs dry; the tick at which it
+        stopped.
 
-        A message event carries one send's recipients for one tick, each
-        delivered in order as if it were an event of its own: one test of the
-        chain length after each delivery lets the GST swap and the stop
-        follow the exact delivery that reaches their length."""
-        blocks = self.chain.blocks
-        stop_len = self.max_height + 1
-        watermark = self._watermark(0)
+        Each later height opens inside the handler that decides its parent
+        block, and the GST swap ends that handler. A message event carries
+        one send's recipients for one tick, each delivered in order as if it
+        were an event of its own, so the stop follows the exact delivery that
+        lands the last block."""
+        self._open(1, GENESIS_HASH)
+        blocks, max_height = self.chain.blocks, self.max_height
         for pid in range(self.population):
             self.queue.push(0, ("start", pid, 1))
         pop = self.queue.pop
@@ -492,10 +471,8 @@ class SimulationEngine:
                 msg = event[1]
                 for pid in event[2]:
                     on_msg(msg, pid, t)
-                    if len(blocks) >= watermark:
-                        watermark = self._watermark(t)
-                        if len(blocks) >= stop_len:
-                            return t
+                    if len(blocks) > max_height:
+                        return t
                 continue
             if kind == "start":
                 on_start(event[1], event[2], t)
@@ -503,10 +480,8 @@ class SimulationEngine:
                 on_round(event[1], event[2], event[3], t)
             elif kind == "collect":
                 on_collect(event[1], event[2], t)
-            if len(blocks) >= watermark:
-                watermark = self._watermark(t)
-                if len(blocks) >= stop_len:
-                    return t
+            if len(blocks) > max_height:
+                return t
 
     def run(self) -> RunResult:
         finished_at = self._deliver()

@@ -21,21 +21,20 @@ class InsufficientTrace(ValueError):
 class GroundTruth:
     """Which processes actually followed the protocol at each height."""
 
-    __slots__ = ("behaviors", "_faulty")
+    __slots__ = ("_faulty",)
 
-    def __init__(self, behaviors: Dict[ProcessId, Dict[int, BehaviorKind]]) -> None:
-        self.behaviors = behaviors
-        # height -> the processes not scheduled correct there, indexed once
-        faulty: Dict[int, Set[ProcessId]] = {}
-        for pid, schedule in behaviors.items():
-            for h, kind in schedule.items():
-                if kind is not BehaviorKind.CORRECT:
-                    faulty.setdefault(h, set()).add(pid)
-        self._faulty = {h: frozenset(pids) for h, pids in faulty.items()}
+    def __init__(self, faulty: Dict[int, FrozenSet[ProcessId]]) -> None:
+        self._faulty = faulty
 
     @classmethod
     def from_specs(cls, specs: Sequence[ProcessSpec]) -> "GroundTruth":
-        return cls(behaviors={s.id: dict(s.behavior) for s in specs})
+        # height -> the processes not scheduled correct there, indexed once
+        faulty: Dict[int, Set[ProcessId]] = {}
+        for spec in specs:
+            for h, kind in spec.behavior.items():
+                if kind is not BehaviorKind.CORRECT:
+                    faulty.setdefault(h, set()).add(spec.id)
+        return cls({h: frozenset(pids) for h, pids in faulty.items()})
 
     def faulty(self, height: int) -> FrozenSet[ProcessId]:
         """The processes that did not follow the protocol at ``height``."""

@@ -519,6 +519,26 @@ def test_cli_invalid_scenario_exits_nonzero(tmp_path, capsys):
     assert err["error"]["field"] == "schema_version"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a directory as the scenario file, a regular file as the output
+        # directory, and an output directory under a regular file
+        lambda d, f: ["run", "--scenario", d, "--out", os.path.join(d, "o")],
+        lambda d, f: ["run", "--builtin", "goodbad-laggard", "--out", f],
+        lambda d, f: ["figure", "selection-highest", "--out", os.path.join(f, "x")],
+    ],
+    ids=["scenario-is-a-directory", "out-is-a-file", "out-under-a-file"],
+)
+def test_cli_os_error_is_one_json_line(tmp_path, capsys, args):
+    regular = tmp_path / "file"
+    regular.write_text("")
+    assert cli_main(args(str(tmp_path), str(regular))) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert str(tmp_path) in json.loads(lines[0])["error"]["message"]
+
+
 _NETWORKS = {
     "good_bad": {
         "model": "good_bad",

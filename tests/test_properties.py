@@ -33,6 +33,7 @@ def scenarios(draw, laggard=False):
         }
         for pid in faulty
     ]
+    max_height = draw(st.integers(1, 8))
     lo = draw(st.integers(0, 5))
     hi = lo + draw(st.integers(0, 20))
     models = [
@@ -46,7 +47,8 @@ def scenarios(draw, laggard=False):
         },
         {
             "model": "eventually_synchronous",
-            "gst_height": 3,
+            # a swap at tick 0, mid-run, on the run's last block, or never
+            "gst_height": draw(st.sampled_from([0, 1, 3, max_height + 1, max_height + 2, max_height + 5])),
             "post_gst_bound": lo,
             "pre_gst_delay_range": [lo, hi],
         },
@@ -74,7 +76,7 @@ def scenarios(draw, laggard=False):
             "timeout_policy": draw(st.sampled_from([p.value for p in TimeoutPolicy])),
         },
         "network": network,
-        "max_height": draw(st.integers(1, 8)),
+        "max_height": max_height,
         "seed": draw(st.integers(0, 2**16)),
         "replications": 1,
         "engine": {"delta0": 5, "delta_increment": 5, "round_ticks": 200},
@@ -143,5 +145,9 @@ def test_deliveries_follow_the_trace_in_delivery_tick_order(doc):
     stop = [i for i, (_, n) in enumerate(engine.lengths) if n >= sc.max_height + 1]
     assert stop == [len(engine.lengths) - 1]
     gst_height = getattr(sc.model, "gst_height", None)
-    if gst_height is not None and 1 < gst_height <= sc.max_height + 2:
+    if gst_height is not None and gst_height <= 1:
+        assert engine.model.gst == 0
+    elif gst_height is not None and gst_height <= sc.max_height + 2:
         assert engine.model.gst == next(t for t, n in engine.lengths if n >= gst_height - 1)
+    elif gst_height is not None:
+        assert engine.model.gst is None
