@@ -18,16 +18,11 @@ import json
 import os
 import sys
 
-from .consensus import QuorumImpossible
 from .check import regrade_output_dir
 from .harness import ScenarioError, _atomic_write, parse_scenario, run_scenario, selection_csv
 from .core import SelectionMechanismId, uniform_merits
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment
-
-
-class UnknownFigure(KeyError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +88,8 @@ def _cmd_figure(args) -> int:
         _atomic_write(os.path.join(args.out, "figure.csv"), "".join(lines))
         print(f"ev-sync-rewards: {scenario.replications} replications written to {args.out}")
         return 0
-    raise UnknownFigure(args.name)
+    known = sorted(_SELECTION_FIGURES) + ["ev-sync-rewards"]
+    raise ScenarioError("figure", f"unknown figure {args.name!r}; known: {known}")
 
 
 def _cmd_check(args) -> int:
@@ -113,28 +109,11 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"run": _cmd_run, "figure": _cmd_figure, "check": _cmd_check}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return 2
+        return command(args)
     except ScenarioError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
-        return 2
-    except QuorumImpossible as exc:
-        # a selected committee holds more Byzantine members than consensus
-        # tolerates, or too few correct members ever to reach quorum
-        print(json.dumps(ScenarioError("population.behaviors", str(exc)).to_json()), file=sys.stderr)
-        return 2
-    except UnknownFigure as exc:
-        known = sorted(_SELECTION_FIGURES) + ["ev-sync-rewards"]
-        print(
-            json.dumps({"error": {"field": "figure", "message": f"unknown figure {exc.args[0]!r}; known: {known}"}}),
-            file=sys.stderr,
-        )
         return 2
     except (OSError, KeyError, ValueError) as exc:
         print(json.dumps({"error": {"field": None, "message": str(exc)}}), file=sys.stderr)

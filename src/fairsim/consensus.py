@@ -42,6 +42,7 @@ from .core import (
     GenesisConfig,
     ProcessId,
     ProcessSpec,
+    ScenarioError,
     TimeoutPolicy,
     payload_for_height,
     simulated_hash,
@@ -67,8 +68,9 @@ _CORRECT, _SILENT = BehaviorKind.CORRECT, BehaviorKind.BYZANTINE_SILENT
 _EQUIVOCATE = BehaviorKind.BYZANTINE_EQUIVOCATE
 
 
-class QuorumImpossible(Exception):
-    """A committee at some height cannot decide safely or at all."""
+class QuorumImpossible(ScenarioError):
+    """A committee at some height holds more Byzantine members than
+    consensus tolerates."""
 
 
 class AgreementViolation(Exception):
@@ -89,24 +91,16 @@ def max_byzantine(n: int) -> int:
     return (n - 1) // 3
 
 
-def check_committee(committee: Sequence[ProcessSpec], h: int, allow_quorum_violation: bool = False) -> None:
-    """Raise QuorumImpossible when too few members of ``committee`` are
-    correct at height ``h``: more misbehave than consensus tolerates or, under
-    ``allow_quorum_violation``, fewer are correct than a decision needs (only
-    correct members send valid votes, so the height could never be decided)."""
+def check_committee(committee: Sequence[ProcessSpec], h: int) -> None:
+    """Raise QuorumImpossible when more members of ``committee`` are not
+    correct at height ``h`` than consensus tolerates. Within that bound the
+    correct members alone make a quorum, so the height can always decide."""
     n = len(committee)
-    correct = sum(1 for s in committee if s.behavior_at(h) is _CORRECT)
-    if not allow_quorum_violation:
-        limit = max_byzantine(n)
-        if n - correct > limit:
-            raise QuorumImpossible(
-                f"height {h}: {n - correct} Byzantine members in a committee of {n};"
-                f" at most {limit} tolerated"
-            )
-    elif correct < quorum_size(n):
+    byzantine = sum(1 for s in committee if s.behavior_at(h) is not _CORRECT)
+    if byzantine > max_byzantine(n):
         raise QuorumImpossible(
-            f"height {h}: only {correct} of {n} committee members are correct;"
-            f" a decision needs {quorum_size(n)}"
+            "population.behaviors",
+            f"height {h}: {byzantine} Byzantine members in a committee of {n}; at most {max_byzantine(n)} tolerated",
         )
 
 
@@ -139,7 +133,6 @@ class EngineConfig(NamedTuple):
     delta0: int = 5
     delta_increment: int = 5
     round_ticks: int = 100
-    allow_quorum_violation: bool = False
 
 
 class RunResult(NamedTuple):
@@ -247,7 +240,7 @@ class SimulationEngine:
     def _open(self, h: int, parent_link: int) -> None:
         """Fix height h's committee and valid payload once ``parent_link``'s block h-1 has landed."""
         committee = self._sel_state.committee(h)
-        check_committee([self.specs[pid] for pid in committee], h, self.config.allow_quorum_violation)
+        check_committee([self.specs[pid] for pid in committee], h)
         self._heights[h] = _Height(h, committee, parent_link)
 
     def _send(

@@ -18,6 +18,23 @@ ProcessId = int
 GENESIS_HASH = 0
 
 
+class ScenarioError(ValueError):
+    """A run refused, with the field path at fault; the CLI reports it as one
+    JSON line and exit code 2."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so one raised in a pool worker unpickles
+        return type(self), (self.path, self.message)
+
+    def to_json(self) -> dict:
+        return {"error": {"field": self.path, "message": self.message}}
+
+
 class BehaviorKind(Enum):
     """What a process does during one height."""
 

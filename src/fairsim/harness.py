@@ -21,13 +21,14 @@ import os
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .consensus import EngineConfig, QuorumImpossible, RunResult, SimulationEngine, check_committee
+from .consensus import EngineConfig, RunResult, SimulationEngine, check_committee
 from .core import (
     BehaviorKind,
     GenesisConfig,
     ProcessId,
     ProcessSpec,
     RewardMechanismId,
+    ScenarioError,
     SelectionMechanismId,
     TimeoutPolicy,
     chain_from_jsonl,  # the check module reads chains through this name
@@ -39,18 +40,6 @@ from .reward import RewardMatrix
 from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
-
-
-class ScenarioError(ValueError):
-    """Validation failure with the offending field path."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
-
-    def to_json(self) -> dict:
-        return {"error": {"field": self.path, "message": self.message}}
 
 
 class Scenario(NamedTuple):
@@ -171,15 +160,14 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     eng = doc.get("engine", {})
     if not isinstance(eng, dict):
         raise ScenarioError("engine", "must be an object")
-    allow_quorum_violation = eng.get("allow_quorum_violation", False)
-    if type(allow_quorum_violation) is not bool:
-        raise ScenarioError("engine.allow_quorum_violation", "must be true or false")
+    for key in eng:
+        if key not in EngineConfig._fields:
+            raise ScenarioError(f"engine.{key}", f"unknown field; engine takes only {', '.join(EngineConfig._fields)}")
     engine = EngineConfig(
         delta0=_ticks(eng, "delta0", "engine", 5),
         delta_increment=_ticks(eng, "delta_increment", "engine", 5),
         # a round timer of 0 re-arms at the same tick forever
         round_ticks=_int(eng.get("round_ticks", 100), "engine.round_ticks", lo=1),
-        allow_quorum_violation=allow_quorum_violation,
     )
 
     ana = doc.get("analyzer", {})
@@ -200,12 +188,9 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     # when every process sits on every committee, the Byzantine bound can be
     # checked before running; otherwise the engine checks each committee. At
     # a height no behaviour names, every member is correct.
-    if size == n and not engine.allow_quorum_violation:
-        try:
-            for h in sorted({h for spec in specs for h in spec.behavior}):
-                check_committee(specs, h)
-        except QuorumImpossible as exc:
-            raise ScenarioError("population.behaviors", str(exc)) from None
+    if size == n:
+        for h in sorted({h for spec in specs for h in spec.behavior}):
+            check_committee(specs, h)
 
     return Scenario(
         name=name,

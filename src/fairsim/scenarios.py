@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 from typing import Dict, List
 
+from .core import ScenarioError
 from .harness import SCHEMA_VERSION
 
 
@@ -215,7 +216,7 @@ BUILTIN = {
 
 
 def builtin_scenario(name: str) -> dict:
-    try:
-        return BUILTIN[name]()
-    except KeyError:
-        raise KeyError(f"unknown builtin scenario {name!r}; known: {sorted(BUILTIN)}") from None
+    """The document of built-in scenario ``name``, which ``run --builtin`` names."""
+    if name not in BUILTIN:
+        raise ScenarioError("--builtin", f"unknown builtin scenario {name!r}; known: {sorted(BUILTIN)}")
+    return BUILTIN[name]()

@@ -1,3 +1,5 @@
+import pickle
+
 from hypothesis import given, strategies as st
 
 from fairsim.consensus import (
@@ -14,6 +16,7 @@ from fairsim.core import (
     GenesisConfig,
     ProcessSpec,
     RewardMechanismId,
+    ScenarioError,
     SelectionMechanismId,
     TimeoutPolicy,
     chain_to_jsonl,
@@ -36,6 +39,11 @@ def test_quorum_overlaps_leave_an_honest_majority(n):
     # two quorums intersect in more processes than can be Byzantine
     assert 2 * quorum_size(n) - n > max_byzantine(n)
     assert evidence_threshold(n) > max_byzantine(n)
+
+
+def test_correct_members_within_the_bound_make_a_quorum():
+    # so a committee that passes check_committee can always decide
+    assert all(n - max_byzantine(n) >= quorum_size(n) for n in range(1, 10**5 + 1))
 
 
 def test_update_delta_fixed_never_moves():
@@ -165,8 +173,18 @@ def test_too_many_byzantine_rejected():
         0: {1: BehaviorKind.BYZANTINE_SILENT},
         1: {1: BehaviorKind.BYZANTINE_SILENT},
     }
-    with pytest.raises(QuorumImpossible):
+    with pytest.raises(QuorumImpossible) as exc:
         _run(behaviors, max_height=2)
+    # a scenario error at the behaviours, which survives a pool worker's pickling
+    assert isinstance(exc.value, ScenarioError)
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is QuorumImpossible
+    assert copy.to_json() == exc.value.to_json() == {
+        "error": {
+            "field": "population.behaviors",
+            "message": "height 1: 2 Byzantine members in a committee of 4; at most 1 tolerated",
+        }
+    }
 
 
 def test_never_reward_produces_empty_vectors():

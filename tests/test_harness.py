@@ -664,8 +664,11 @@ def _over_byzantine_bound(doc):
         ("engine.round_ticks", _engine(round_ticks=-100)),
         ("engine.delta0", _engine(delta0=-3)),
         ("engine.delta_increment", _engine(delta_increment="5")),
+        # engine takes only the fields of EngineConfig
+        ("engine.allow_quorum_violation", _engine(allow_quorum_violation=True)),
         ("engine.allow_quorum_violation", _engine(allow_quorum_violation="yes")),
         ("engine.allow_quorum_violation", _engine(allow_quorum_violation=1)),
+        ("engine.bogus", _engine(bogus=5)),
         ("seed", lambda doc: doc.update(seed="x")),
         ("genesis.reward_per_member", _genesis(reward_per_member="x")),
         ("genesis.reward_per_member", _genesis(reward_per_member=-1)),
@@ -714,22 +717,29 @@ def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
     assert json.loads(lines[0])["error"]["field"] == field
 
 
-def test_cli_unreachable_quorum_fails_naming_the_height(tmp_path):
-    # processes 1 and 2 are silent at height 3, so only 2 of the 4 members
-    # can vote there and a decision needs 3; without the check the run
-    # re-arms its round timers forever
-    doc = _doc(max_height=10)
-    doc["population"]["behaviors"] += [{"process": p, "kind": "silent", "heights": [3]} for p in (1, 2)]
-    doc["engine"]["allow_quorum_violation"] = True
-    path = tmp_path / "stuck.json"
+def test_cli_byzantine_committee_in_the_engine_is_one_json_line_with_and_without_the_pool(tmp_path, capsys):
+    # round robin puts processes 0-3 on the committee of height 3, where 0 and
+    # 1 are silent; a committee smaller than the population is checked by the
+    # engine, so with --jobs 2 the error is raised in a pool worker
+    doc = {
+        "schema_version": 1,
+        "name": "refused-at-height-3",
+        "population": {"size": 8, "behaviors": [{"process": p, "kind": "silent", "heights": [3]} for p in (0, 1)]},
+        "genesis": {"committee_size": 4, "selection": "round_robin", "reward": "reward_all_committee"},
+        "network": {"model": "synchronous"},
+        "max_height": 10,
+    }
+    path = tmp_path / "refused.json"
     path.write_text(json.dumps(doc))
-    rc, err = _cli_subprocess(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])["error"]
-    assert error["field"] == "population.behaviors"
-    assert error["message"].startswith("height 3:")
+    expected = {
+        "field": "population.behaviors",
+        "message": "height 3: 2 Byzantine members in a committee of 4; at most 1 tolerated",
+    }
+    for jobs in ("1", "2"):
+        args = ["run", "--scenario", str(path), "--reps", "2", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+        assert cli_main(args) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [json.dumps({"error": expected})], jobs
 
 
 def test_cli_unknown_figure(tmp_path, capsys):
@@ -742,6 +752,11 @@ def test_cli_unknown_figure(tmp_path, capsys):
 def test_cli_unknown_builtin(tmp_path, capsys):
     rc = cli_main(["run", "--builtin", "nope", "--out", str(tmp_path)])
     assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["field"] == "--builtin"
+    assert error["message"].startswith("unknown builtin scenario 'nope'")
 
 
 def test_builtin_scenarios_all_parse():

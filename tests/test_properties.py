@@ -8,7 +8,7 @@ import os
 import tempfile
 from operator import itemgetter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairsim.consensus import SimulationEngine, max_byzantine
 from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy, chain_validate
@@ -130,8 +130,31 @@ class _DeliverySpy(SimulationEngine):
         self.lengths.append((t, len(self.chain)))
 
 
+def _evsync(gst_height: int, max_height: int = 4) -> dict:
+    """An eventually synchronous scenario whose GST is set by ``gst_height``."""
+    return {
+        "schema_version": 1,
+        "name": "gst-swap",
+        "population": {"size": 4, "behaviors": [{"process": 3, "kind": "silent", "heights": "even"}]},
+        "genesis": {"committee_size": 4, "selection": "select_all", "reward": "tendermint_to_reward",
+                    "timeout_policy": "modulable"},
+        "network": {"model": "eventually_synchronous", "gst_height": gst_height, "post_gst_bound": 2,
+                    "pre_gst_delay_range": [2, 12]},
+        "max_height": max_height,
+        "seed": 7,
+        "replications": 1,
+        "engine": {"delta0": 5, "delta_increment": 5, "round_ticks": 200},
+    }
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(scenarios(), scenarios(laggard=True)))
+# on every run: the swap at tick 0 (gst_height 0 and 1), on the decision of
+# block max_height, and on that of the run's last block, max_height + 1
+@example(_evsync(0))
+@example(_evsync(1))
+@example(_evsync(4 + 1))
+@example(_evsync(4 + 2))
 def test_deliveries_follow_the_trace_in_delivery_tick_order(doc):
     """Copies are delivered by tick and, within a tick, in the order they were
     sent: the trace (in send order) sorted stably by delivery tick, up to the
