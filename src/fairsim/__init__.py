@@ -16,43 +16,6 @@ from .fairness import Classification, FairnessReport, GroundTruth, build_report,
 from .harness import Scenario, ScenarioError, parse_scenario, run_scenario
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
 from .reward import RewardMatrix, SuspicionState, allocate, suspicion_quorum
-from .selection import SelectionState, check_selection_fairness, run_selection_experiment, select
-
-__all__ = [
-    "Asynchronous",
-    "BehaviorKind",
-    "Block",
-    "Blockchain",
-    "Classification",
-    "EngineConfig",
-    "EventuallySynchronous",
-    "FairnessReport",
-    "GenesisConfig",
-    "GoodBad",
-    "GroundTruth",
-    "ProcessSpec",
-    "QuorumImpossible",
-    "RewardMatrix",
-    "RewardMechanismId",
-    "RunResult",
-    "Scenario",
-    "ScenarioError",
-    "SelectionMechanismId",
-    "SelectionState",
-    "SimulationEngine",
-    "SuspicionState",
-    "Synchronous",
-    "TimeoutPolicy",
-    "allocate",
-    "build_report",
-    "check_selection_fairness",
-    "classify",
-    "grade_height",
-    "parse_scenario",
-    "run_scenario",
-    "run_selection_experiment",
-    "select",
-    "suspicion_quorum",
-]
+from .selection import SelectionState, check_selection_fairness, run_selection_experiment
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ message for any past height can still be in flight.
 from __future__ import annotations
 
 import random
-from typing import Collection, Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .core import (
     EMPTY_MAPPING,
@@ -118,17 +118,6 @@ def update_delta(
     return current
 
 
-def collect_decisions(
-    decision_deliveries: Dict[ProcessId, SimTime],
-    decided_at: SimTime,
-    delta: int,
-    committee: Collection[ProcessId],
-) -> Set[ProcessId]:
-    """Committee members whose decision arrived within the wait window."""
-    deadline = decided_at + delta
-    return {q for q, t in decision_deliveries.items() if q in committee and t <= deadline}
-
-
 class EngineConfig(NamedTuple):
     delta0: int = 5
     delta_increment: int = 5
@@ -155,7 +144,7 @@ class _Slot:
     def __init__(self) -> None:
         self.proposal_seen = self.voted = False  # voted: the vote step ran (a vote, an equivocation or nothing)
         self.votes: Set[ProcessId] = set()
-        self.deliveries: Dict[ProcessId, SimTime] = {}  # sender -> first valid decision
+        self.deliveries: Set[ProcessId] = set()  # senders of a valid decision
         self.heard: Set[ProcessId] = set()  # every sender; read only under the synchronous model
 
 
@@ -311,7 +300,7 @@ class SimulationEngine:
         return allocate(
             mech=self.genesis.reward,
             committee=self._heights[prev].committee,
-            to_reward=st.to_reward.get(prev, set()),
+            to_reward=st.to_reward[prev],
             incorrect=st.suspicion.confirmed(prev),
             reward_per_member=self.genesis.reward_per_member,
         )
@@ -357,7 +346,7 @@ class SimulationEngine:
         if msg.payload != info.payload:
             self._suspect(pid, h, msg.sender, t)
         elif kind is _DECISION:
-            slot.deliveries.setdefault(msg.sender, t)
+            slot.deliveries.add(msg.sender)
         elif kind is _VOTE:
             slot.votes.add(msg.sender)
         else:
@@ -408,7 +397,7 @@ class SimulationEngine:
 
     def _append_block(self, h: int, info: _Height) -> None:
         """Put block h on the chain and open height h+1, unless h is the run's last block."""
-        block = Block(h, info.committee, self._pending_reward.pop(h, {}), info.payload, info.parent_link)
+        block = Block(h, info.committee, self._pending_reward.pop(h), info.payload, info.parent_link)
         self.chain.append(block)
         self._sel_state.apply_block(block)
         if h <= self.max_height:
@@ -419,7 +408,9 @@ class SimulationEngine:
         info = self._heights[h]
         # deciding h took a delivery for h, so its slot exists
         slot = st.slots[h]
-        st.to_reward[h] = collect_decisions(slot.deliveries, st.decided[h], t - st.decided[h], info.members)
+        # each decision the slot holds came within the window, which this
+        # collect ends, and from a member, since only members send decisions
+        st.to_reward[h] = set(slot.deliveries)
         if self._sync_omission and self.specs[pid].behavior_at(h) is _CORRECT:
             # with instant delivery, total silence over a height is a
             # detectable omission
@@ -428,11 +419,7 @@ class SimulationEngine:
                     self._suspect(pid, h, q, t)
         expected = info.members - st.suspicion.confirmed(h)
         st.delta = update_delta(
-            st.delta,
-            st.to_reward[h] & expected,
-            expected,
-            self.genesis.timeout_policy,
-            self.config.delta_increment,
+            st.delta, st.to_reward[h], expected, self.genesis.timeout_policy, self.config.delta_increment
         )
         self.queue.push(t + 1, ("start", pid, h + 1))
 

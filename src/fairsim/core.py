@@ -142,18 +142,6 @@ def simulated_hash(block: Block) -> int:
     return (block.payload_id << 24) + block.height
 
 
-def chain_validate(bc: Blockchain) -> bool:
-    """True iff heights are contiguous from 1 and every parent link matches."""
-    prev_hash = GENESIS_HASH
-    for i, block in enumerate(bc.blocks):
-        if block.height != i + 1:
-            return False
-        if block.parent_link != prev_hash:
-            return False
-        prev_hash = simulated_hash(block)
-    return True
-
-
 # -- line-oriented JSON trace (one block per line, genesis first) ------------
 
 def genesis_to_json(g: GenesisConfig) -> dict:

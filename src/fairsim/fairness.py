@@ -90,21 +90,6 @@ class FairnessReport(NamedTuple):
     accurate_rows_ok: bool
     witnesses: Sequence[Tuple[int, ProcessId, str]] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "h0": self.h0,
-            "complete_rows_ok": self.complete_rows_ok,
-            "accurate_rows_ok": self.accurate_rows_ok,
-            "grades": {
-                str(h): {"cond1": g[0], "completeness": g[1], "accuracy": g[2]}
-                for h, g in sorted(self.grades.items())
-            },
-            "witnesses": [
-                {"height": h, "process": p, "condition": c} for h, p, c in self.witnesses
-            ],
-        }
-
 
 def classify(
     grades: Dict[int, HeightGrade],
@@ -210,9 +195,9 @@ _GRADE_TEXT = {
 def fairness_json(window: int, reports: Sequence[Tuple[int, FairnessReport]]) -> str:
     """fairness.json for (replication index, report) pairs: the text
     ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes for
-    ``{"stabilization_window": window, "replications": [{"replication":
-    index, **report.to_json()}, ...]}``, built as one flat list of pieces
-    joined once."""
+    ``{"stabilization_window": window, "replications": [...]}``, one entry
+    per report with its fields and its "replication" index, built as one
+    flat list of pieces joined once."""
     out = ['{\n  "replications": [']
     for index, report in reports:
         out.append(

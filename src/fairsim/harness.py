@@ -286,6 +286,8 @@ def _parse_network(net: dict, size: int):
         gst_height = _ticks(net, "gst_height", default=None)
         if gst is None and gst_height is None:
             raise ScenarioError("network", "eventually_synchronous needs gst or gst_height")
+        if gst is not None and gst_height is not None:
+            raise ScenarioError("network.gst_height", "give gst or gst_height, not both")
         return EventuallySynchronous(
             post_gst_bound=_ticks(net, "post_gst_bound"),
             pre_gst_delay_range=_delay_range(net, "pre_gst_delay_range"),
@@ -372,7 +374,6 @@ def run_scenario(
         tasks = [(scenario.raw, rep, record_trace) for rep in range(scenario.replications)]
         with ProcessPoolExecutor(max_workers=min(jobs, scenario.replications)) as pool:
             reps = list(pool.map(_run_rep_task, tasks))
-        reps.sort(key=lambda r: r.index)
     else:
         reps = [run_replication(scenario, rep, record_trace) for rep in range(scenario.replications)]
 
@@ -381,6 +382,15 @@ def run_scenario(
     if out_dir is not None:
         write_outputs(out, out_dir)
     return out
+
+
+def _sum_in_order(values) -> float:
+    """The floats ``values`` added left to right. The builtin ``sum``
+    compensates rounding since Python 3.12, which moves last digits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> Dict[int, tuple]:
@@ -400,9 +410,9 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
             samples.extend(values)
             rep_means.append(sum(values) / len(values))
         mean = sum(samples) / len(samples)
-        std_all = math.sqrt(sum((v - mean) ** 2 for v in samples) / len(samples))
-        mu_rep = sum(rep_means) / len(rep_means)
-        std_rep = math.sqrt(sum((v - mu_rep) ** 2 for v in rep_means) / len(rep_means))
+        std_all = math.sqrt(_sum_in_order((v - mean) ** 2 for v in samples) / len(samples))
+        mu_rep = _sum_in_order(rep_means) / len(rep_means)
+        std_rep = math.sqrt(_sum_in_order((v - mu_rep) ** 2 for v in rep_means) / len(rep_means))
         out[h] = (mean, std_all, std_rep)
     return out
 

@@ -1,8 +1,8 @@
 """Committee selection from chain state, plus the selection-fairness checker.
 
-``select`` is a pure function of (chain, height, mechanism): stakes are the
-initial stakes plus every reward in blocks 1..h-1, and selection counts come
-from the committees of those blocks. ``SelectionState`` ranks by one integer
+The committee of height h follows from the chain: stakes are the initial
+stakes plus every reward in blocks 1..h-1, and selection counts come from
+the committees of those blocks. ``SelectionState`` ranks by one integer
 key per process, ``stake*N + pid`` (lowest stake), ``-stake*N + pid``
 (highest stake) or ``count*N + pid`` (fewest selections), so ascending keys
 break ties to the lower pid. It re-sorts its last ranking in place: only
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
-from .core import Block, Blockchain, ProcessId, SelectionMechanismId
+from .core import Block, ProcessId, SelectionMechanismId
 from .fairness import InsufficientTrace
 
 
@@ -48,16 +48,6 @@ class SelectionState:
         order = self.order
         order.sort(key=self.rank.__getitem__)
         return order[:n]
-
-
-def select(bc: Blockchain, height: int, mech: SelectionMechanismId) -> List[ProcessId]:
-    """Committee for ``height``, or [] when the chain is too short."""
-    if len(bc) < height - 1:
-        return []
-    state = SelectionState(bc.genesis.population, bc.genesis.n, mech, bc.genesis.initial_stakes)
-    for block in bc.blocks[: height - 1]:
-        state.apply_block(block)
-    return state.committee(height)
 
 
 class SelectionStats(NamedTuple):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from fairsim.consensus import (
     EngineConfig,
     SimulationEngine,
-    collect_decisions,
     evidence_threshold,
     max_byzantine,
     quorum_size,
@@ -20,9 +19,9 @@ from fairsim.core import (
     SelectionMechanismId,
     TimeoutPolicy,
     chain_to_jsonl,
-    chain_validate,
 )
 from fairsim.network import MessageKind, Synchronous
+from oracles import chain_validate
 import pytest
 
 from fairsim.consensus import QuorumImpossible
@@ -53,11 +52,6 @@ def test_update_delta_fixed_never_moves():
 def test_update_delta_modulable_grows_only_on_misses():
     assert update_delta(5, {0, 1}, {0, 1, 2}, TimeoutPolicy.MODULABLE, 7) == 12
     assert update_delta(5, {0, 1, 2}, {0, 1, 2}, TimeoutPolicy.MODULABLE, 7) == 5
-
-
-def test_collect_decisions_window_and_membership():
-    deliveries = {0: 10, 1: 14, 2: 16, 9: 10}
-    assert collect_decisions(deliveries, decided_at=10, delta=5, committee=[0, 1, 2]) == {0, 1}
 
 
 def _specs(population, behaviors=None):

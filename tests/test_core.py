@@ -13,11 +13,11 @@ from fairsim.core import (
     SelectionMechanismId,
     chain_from_jsonl,
     chain_to_jsonl,
-    chain_validate,
     payload_for_height,
     simulated_hash,
     uniform_merits,
 )
+from oracles import chain_validate
 
 
 def _genesis(n=4, population=4):

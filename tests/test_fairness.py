@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fairsim.core import BehaviorKind, ProcessSpec
@@ -7,6 +9,7 @@ from fairsim.fairness import (
     InsufficientTrace,
     build_report,
     classify,
+    fairness_json,
     grade_height,
 )
 from fairsim.reward import RewardMatrix, RewardsNotYetAllocated
@@ -135,6 +138,6 @@ def test_build_report_witnesses():
     assert (2, 2, "accuracy") in report.witnesses
     assert not report.complete_rows_ok
     assert not report.accurate_rows_ok
-    js = report.to_json()
+    js = json.loads(fairness_json(1, [(0, report)]))["replications"][0]
     assert js["classification"] == "none"
     assert js["grades"]["1"] == {"cond1": True, "completeness": True, "accuracy": True}

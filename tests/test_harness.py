@@ -658,6 +658,7 @@ def _over_byzantine_bound(doc):
         ("network.gst_height", _network("eventually_synchronous", gst_height="x")),
         ("network.gst_height", _network("eventually_synchronous", gst_height=2.5)),
         ("network.gst_height", _network("eventually_synchronous", gst_height=None)),
+        ("network.gst_height", _network("eventually_synchronous", gst=0)),
         ("network", _evsync_without_gst),
         ("engine", lambda doc: doc.update(engine=5)),
         ("engine.round_ticks", _stalled_rounds),

@@ -8,6 +8,7 @@ field; it must never end in a traceback. Only the parser runs, never the
 engine, so the whole test takes seconds.
 """
 import contextlib
+import copy
 import io
 import json
 import os
@@ -78,7 +79,9 @@ def _mutate(data, doc):
     if kind == "drop":
         del parent[path[-1]]
     elif kind == "swap":
-        parent[path[-1]] = data.draw(st.sampled_from(_SWAPS))
+        # a copy, so that a later mutation cannot change the shared containers
+        # of _SWAPS and with them what Hypothesis replays for this draw
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
     elif kind == "extreme":
         parent[path[-1]] = data.draw(st.sampled_from(_SIZE_EXTREMES if path in _SIZE_PATHS else _EXTREMES))
     else:

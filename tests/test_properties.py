@@ -11,9 +11,10 @@ from operator import itemgetter
 from hypothesis import example, given, settings, strategies as st
 
 from fairsim.consensus import SimulationEngine, max_byzantine
-from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy, chain_validate
+from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy
 from fairsim.check import regrade_output_dir
 from fairsim.harness import parse_scenario, run_scenario
+from oracles import chain_validate
 
 
 @st.composite
@@ -95,6 +96,10 @@ def test_engine_invariants(doc):
         for block in chain.blocks[1:]:
             committee = chain.block_at(block.height - 1).committee
             assert set(block.reward_vector) <= set(committee), block.height
+        # each process collects decisions from members of the height alone
+        for pid, collected in result.replications[0].result.to_reward.items():
+            for h, senders in collected.items():
+                assert senders <= set(chain.block_at(h).committee), (pid, h)
         # check re-derives every file the run wrote, byte for byte
         files = regrade_output_dir(out)["files"]
         assert sorted(files) == sorted(os.listdir(out))

@@ -25,6 +25,7 @@ from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, _tr
 from fairsim.network import MessageKind
 from fairsim.reward import RewardMatrix
 from fairsim.selection import SelectionStats
+from oracles import report_json
 
 _GENESIS = GenesisConfig(
     n=3,
@@ -84,7 +85,7 @@ _reports = st.builds(
 def test_fairness_json_is_json_dumps_indent_2(reports, window):
     doc = {
         "stabilization_window": window,
-        "replications": [{"replication": i, **r.to_json()} for i, r in enumerate(reports)],
+        "replications": [{"replication": i, **report_json(r)} for i, r in enumerate(reports)],
     }
     assert fairness_json(window, list(enumerate(reports))) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -21,9 +21,9 @@ from fairsim.selection import (
     SelectionTally,
     check_selection_fairness,
     run_selection_experiment,
-    select,
     selection_committees,
 )
+from oracles import select
 
 
 def _block(height, committee, reward_vector):
