@@ -18,8 +18,7 @@ import json
 import os
 import sys
 
-from .check import regrade_output_dir
-from .harness import ScenarioError, _atomic_write, parse_scenario, run_scenario, selection_csv
+from .harness import ScenarioError, _atomic_write, parse_scenario, regrade_output_dir, run_scenario, selection_csv
 from .core import SelectionMechanismId, uniform_merits
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment

@@ -10,8 +10,12 @@ chain-<rep>.jsonl per replication (and trace-<rep>.jsonl under --trace),
 rewards.csv, selection.csv, fairness.json and aggregate.csv. The text is
 built from fixed templates, byte for byte what ``json.dumps`` or
 ``csv.writer`` would write. ``write_outputs`` writes each file atomically.
-``fairsim check`` (the check module) renders what it re-derives with the
-same renderer.
+
+``regrade_output_dir`` (``fairsim check``) rebuilds each replication from
+scenario-echo.json and the chains alone, re-grades and re-aggregates them,
+renders them with ``render_outputs`` and compares every file's bytes with
+the stored one. Only the committees and reward vectors are read from a
+chain; the comparison of the chain file checks the rest.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .consensus import EngineConfig, RunResult, SimulationEngine, check_committee
 from .core import (
     BehaviorKind,
+    Blockchain,
     GenesisConfig,
     ProcessId,
     ProcessSpec,
@@ -31,12 +36,12 @@ from .core import (
     ScenarioError,
     SelectionMechanismId,
     TimeoutPolicy,
-    chain_from_jsonl,  # the check module reads chains through this name
+    chain_from_jsonl,
     chain_to_jsonl,
 )
 from .fairness import FairnessReport, GroundTruth, build_report, fairness_json
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
-from .reward import RewardMatrix
+from .reward import RewardMatrix, matrix_from_chain
 from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
@@ -79,11 +84,13 @@ def _heights_matching(spec, max_height: int, path: str) -> List[int]:
         heights = [_int(h, path) for h in spec]
         return [h for h in heights if 1 <= h <= last]
     if isinstance(spec, dict):
-        if "mod" in spec:
-            m, r = _int(spec["mod"], path, lo=1), _int(spec.get("rem", 0), path)
+        if spec.keys() in ({"mod"}, {"mod", "rem"}):
+            m = _int(spec["mod"], path, lo=1)
+            r = _int(spec.get("rem", 0), path, 0, m - 1)
             return [h for h in range(1, last + 1) if h % m == r]
-        if "from" in spec:
-            lo, hi = _int(spec["from"], path), _int(spec.get("to", last), path)
+        if spec.keys() in ({"from"}, {"from", "to"}):
+            lo = _int(spec["from"], path)
+            hi = _int(spec["to"], path, lo=lo) if "to" in spec else last
             return list(range(max(lo, 1), min(hi, last) + 1))
     raise ScenarioError(path, f"unrecognized heights specifier: {spec!r}")
 
@@ -424,6 +431,9 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
 # (``indent=2`` for fairness.json, see ``fairness_json``) and ``csv.writer``
 # (lines ending in \r\n) for the CSV files.
 
+# the files check reads back or skips; chain and trace names take the replication index
+_ECHO, _CHAIN, _TRACE = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl"
+
 _AGGREGATE_HEAD = (
     "# mean/std of the reward parameter per height;"
     " std_all over process x replication samples, std_rep over replication means\n"
@@ -480,11 +490,11 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     first the files ``check`` reads back (the scenario echo and the chains),
     then the ones it re-derives from them."""
     scenario, reps = result.scenario, result.replications
-    yield "scenario-echo.json", json.dumps(scenario.raw, indent=2, sort_keys=True) + "\n"
+    yield _ECHO, json.dumps(scenario.raw, indent=2, sort_keys=True) + "\n"
     for rr in reps:
-        yield f"chain-{rr.index:03d}.jsonl", chain_to_jsonl(rr.result.chain)
+        yield _CHAIN.format(rr.index), chain_to_jsonl(rr.result.chain)
         if rr.result.trace:
-            yield f"trace-{rr.index:03d}.jsonl", _trace_jsonl(rr.result.trace)
+            yield _TRACE.format(rr.index), _trace_jsonl(rr.result.trace)
     yield "rewards.csv", _rewards_csv(reps)
 
     tally = SelectionTally(scenario.genesis.population)
@@ -502,3 +512,103 @@ def write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for name, text in render_outputs(result):
         _atomic_write(os.path.join(out_dir, name), text)
+
+
+# -- check -------------------------------------------------------------------
+
+class MalformedOutput(ScenarioError):
+    """A file of an output directory that cannot be read as what a run
+    writes; ``path`` is the file name."""
+
+
+def regrade_output_dir(out_dir: str) -> dict:
+    """Re-derive every output file from scenario-echo.json and the chains on
+    disk, and compare each with the stored file byte for byte.
+
+    Returns a summary: ``files`` maps each file name to "matches", "differs"
+    or "missing", ``first_difference`` names the first file that does not
+    match (or is None), and ``matches_stored`` is true when every file
+    matches. Message traces are not recorded in the chains, so trace files
+    are listed under ``skipped``; files no run writes are ignored. Raises
+    MalformedOutput when the scenario echo cannot be read, when a chain
+    cannot be graded, or when a stored JSON file that differs is not a JSON
+    object.
+    """
+    scenario = _read_scenario(out_dir)
+    reps = []
+    for rep in range(scenario.replications):
+        name = _CHAIN.format(rep)
+        chain = _read_chain(out_dir, name, scenario)
+        try:
+            matrix, committees = matrix_from_chain(chain)
+        except ValueError as exc:
+            raise MalformedOutput(name, str(exc)) from None
+        run = RunResult(chain=chain, committees=committees, matrix=matrix)
+        reps.append(ReplicationResult(index=rep, result=run, report=grade(scenario, matrix, committees)))
+    result = ScenarioResult(scenario=scenario, replications=reps, aggregate=compute_aggregate(scenario, reps))
+
+    files = {}
+    for name, text in render_outputs(result):
+        stored = _read(out_dir, name)
+        if stored is None:
+            files[name] = "missing"
+        elif stored == text.encode("utf-8"):
+            files[name] = "matches"
+        elif name.endswith(".json") and not isinstance(_json_or_none(stored), dict):
+            raise MalformedOutput(name, "is not a JSON object")
+        else:
+            files[name] = "differs"
+    first = next((name for name, status in files.items() if status != "matches"), None)
+    head, tail = _TRACE.split("{:03d}")
+    skipped = sorted(name for name in os.listdir(out_dir) if name.startswith(head) and name.endswith(tail))
+    return {
+        "files": files,
+        "first_difference": first,
+        "matches_stored": first is None,
+        "skipped": {name: "message traces are not recorded in the chains" for name in skipped},
+    }
+
+
+def _read(out_dir: str, name: str, required: bool = False) -> Optional[bytes]:
+    """The bytes of file ``name``, or None when there is none and it is not ``required``."""
+    try:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        if required:
+            raise MalformedOutput(name, "missing") from None
+        return None
+    except OSError as exc:
+        raise MalformedOutput(name, f"cannot be read: {exc.strerror}") from None
+
+
+def _json_or_none(data: bytes):
+    try:
+        return json.loads(data)
+    except ValueError:
+        return None
+
+
+def _read_scenario(out_dir: str) -> Scenario:
+    doc = _json_or_none(_read(out_dir, _ECHO, required=True))
+    if not isinstance(doc, dict):
+        raise MalformedOutput(_ECHO, "is not a JSON object")
+    try:
+        return parse_scenario(doc)
+    except ScenarioError as exc:
+        raise MalformedOutput(_ECHO, f"{exc.path}: {exc.message}" if exc.path else exc.message) from None
+
+
+def _read_chain(out_dir: str, name: str, scenario: Scenario) -> Blockchain:
+    """The chain in file ``name``, read against the scenario's genesis; only
+    its committees and reward vectors come from the file, and the files
+    derived from them check those."""
+    try:
+        chain = chain_from_jsonl(_read(out_dir, name, required=True).decode("utf-8"), scenario.genesis)
+    except ValueError as exc:
+        raise MalformedOutput(name, str(exc)) from None
+    if len(chain) != scenario.max_height + 1:
+        raise MalformedOutput(
+            name, f"holds {len(chain)} blocks; a run of the scenario writes max_height + 1 = {scenario.max_height + 1}"
+        )
+    return chain

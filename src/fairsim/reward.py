@@ -9,7 +9,7 @@ within floor((n-1)/3).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .core import Blockchain, ProcessId, RewardMechanismId
 
@@ -77,8 +77,8 @@ class SuspicionState:
 
     __slots__ = ("n", "accusers")
 
-    def __init__(self, n: int, accusers: Optional[Dict[int, Dict[ProcessId, Set[ProcessId]]]] = None) -> None:
-        self.n, self.accusers = n, {} if accusers is None else accusers
+    def __init__(self, n: int) -> None:
+        self.n, self.accusers = n, {}
 
     def accuse(self, height: int, suspect: ProcessId, accuser: ProcessId) -> None:
         self.accusers.setdefault(height, {}).setdefault(suspect, set()).add(accuser)

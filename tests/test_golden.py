@@ -57,6 +57,32 @@ def _wide_committee() -> dict:
     }
 
 
+def _equivocating_proposer(selection: str, pid: int, heights, stakes) -> dict:
+    """N=12, n=7, committees ranked by stake. Process ``pid`` is the lowest
+    id on each of its committees, so it leads round 0 and equivocates its
+    proposal at ``heights``. Every block credits stake, and
+    suspicion_quorum withholds the confirmed equivocator's share."""
+    return {
+        "schema_version": 1,
+        "name": f"{selection.replace('_', '-')}-equivocating-proposer",
+        "population": {
+            "size": 12,
+            "stakes": stakes,
+            "behaviors": [{"process": pid, "kind": "equivocate", "heights": heights}],
+        },
+        "genesis": {
+            "committee_size": 7,
+            "selection": selection,
+            "reward": "suspicion_quorum",
+            "timeout_policy": "modulable",
+        },
+        "network": {"model": "synchronous", "delay": 2},
+        "max_height": 16,
+        "seed": 3,
+        "replications": 1,
+    }
+
+
 def _runs() -> dict:
     """Run name -> CLI arguments (without --out), or a scenario document."""
     runs = {f"builtin/{name}": ["run", "--builtin", name] for name in BUILTIN}
@@ -65,6 +91,11 @@ def _runs() -> dict:
         for doc in static_matrix(mech.value):
             runs[f"static/{doc['name']}"] = doc
     runs["wide/wide-committee"] = _wide_committee()
+    # the only runs whose committees follow stake, and whose proposer equivocates
+    runs["stake/lowest-stake-equivocating-proposer"] = _equivocating_proposer("lowest_stake", 0, "all", 100)
+    runs["stake/highest-stake-equivocating-proposer"] = _equivocating_proposer(
+        "highest_stake", 5, "odd", {str(pid): 100 for pid in range(5, 12)}
+    )
     return runs
 
 

@@ -12,7 +12,7 @@ import pytest
 from fairsim.cli import main as cli_main
 from fairsim.consensus import SimulationEngine
 from fairsim.core import chain_from_jsonl, chain_to_jsonl
-from fairsim.check import regrade_output_dir
+from fairsim.harness import regrade_output_dir
 from fairsim.harness import ScenarioError, parse_scenario, run_scenario
 from fairsim.network import MessageKind
 from fairsim.reward import matrix_from_chain
@@ -122,6 +122,7 @@ def test_heights_past_the_run_are_not_expanded():
     assert huge == specs({"from": 1, "to": 201})
     assert specs({"from": -5, "to": 3}) == specs({"from": 1, "to": 3})
     assert specs([0, -3, 9, 1, 202, 10**12]) == specs([9, 1])
+    assert specs({"from": 500}) == specs({"from": 300, "to": 400}) == specs([])
 
 
 def test_select_all_byzantine_bound_visits_only_the_named_heights():
@@ -578,6 +579,10 @@ def _analyzer(**fields):
     return lambda doc: doc.setdefault("analyzer", {}).update(fields)
 
 
+def _heights(spec):
+    return lambda doc: doc["population"]["behaviors"][0].update(heights=spec)
+
+
 _Replacement = namedtuple("_Replacement", "document flags")
 
 
@@ -624,8 +629,16 @@ def _over_byzantine_bound(doc):
 @pytest.mark.parametrize(
     "field, edit",
     [
-        ("population.behaviors[0].heights",
-         lambda doc: doc["population"]["behaviors"][0].update(heights={"mod": 0})),
+        ("population.behaviors[0].heights", _heights({"mod": 0})),
+        # a rule that can never match, and keys of neither or both forms
+        ("population.behaviors[0].heights", _heights({"mod": 3, "rem": -1})),
+        ("population.behaviors[0].heights", _heights({"mod": 3, "rem": 3})),
+        ("population.behaviors[0].heights", _heights({"mod": 3, "rem": 7})),
+        ("population.behaviors[0].heights", _heights({"from": 9, "to": 2})),
+        ("population.behaviors[0].heights", _heights({"mod": 2, "bogus": 1})),
+        ("population.behaviors[0].heights", _heights({"from": 2, "bogus": 1})),
+        ("population.behaviors[0].heights", _heights({"mod": 2, "from": 1})),
+        ("population.behaviors[0].heights", _heights({"rem": 1})),
         ("population.behaviors", _over_byzantine_bound),
         ("network.bad_len", _network("good_bad", good_len=0, bad_len=0)),
         ("network.good_delay_bound", _network("good_bad", good_delay_bound=-1)),
@@ -682,8 +695,7 @@ def _over_byzantine_bound(doc):
          lambda doc: doc["population"]["behaviors"][0].update(process="1")),
         ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
         ("population.merits", lambda doc: doc["population"].update(merits=[2, -1, 0, 0])),
-        ("population.behaviors[0].heights",
-         lambda doc: doc["population"]["behaviors"][0].update(heights=["a"])),
+        ("population.behaviors[0].heights", _heights(["a"])),
         ("max_height", lambda doc: doc.pop("max_height")),
         ("population", lambda doc: doc.update(population=5)),
         ("genesis", lambda doc: doc.update(genesis=5)),

@@ -1,5 +1,5 @@
-"""Guards on how the package is built: what a fresh start imports, and
-NamedTuple defaults."""
+"""Guards on how the package is built: what it exports, what a fresh start
+imports, and NamedTuple defaults."""
 import importlib
 import json
 import os
@@ -11,6 +11,13 @@ from collections.abc import MutableMapping, MutableSequence, MutableSet
 import fairsim
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_package_exports_only_the_documented_api():
+    # README's library example; everything else is imported from its module
+    names = {name for name in vars(fairsim) if not name.startswith("__")}
+    submodules = {name for name in names if getattr(fairsim, name) is sys.modules.get(f"fairsim.{name}")}
+    assert names - submodules == {"parse_scenario", "run_scenario"}
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():

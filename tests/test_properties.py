@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairsim.consensus import SimulationEngine, max_byzantine
 from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy
-from fairsim.check import regrade_output_dir
+from fairsim.harness import regrade_output_dir
 from fairsim.harness import parse_scenario, run_scenario
 from oracles import chain_validate
 
