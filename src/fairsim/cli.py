@@ -5,11 +5,12 @@
     fairsim figure NAME --out DIR
     fairsim check --out DIR
 
-``check`` re-derives every output file from scenario-echo.json and the
-chains in DIR and compares it byte for byte with the stored one; it exits 1
-naming the first file that differs. Errors, including an output directory
-whose scenario echo or chains cannot be read, are reported as one JSON
-object on stderr and exit code 2.
+``check`` re-runs the scenario that DIR's scenario-echo.json echoes and
+compares every output file byte for byte with the stored one, traces
+included when DIR holds trace-000.jsonl; it exits 1 naming the first file
+that differs or is missing. Errors, including an output directory whose
+scenario echo cannot be read or run, are reported as one JSON object on
+stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import os
 import sys
 
 from .harness import ScenarioError, _atomic_write, parse_scenario, regrade_output_dir, run_scenario, selection_csv
+from .harness import _CHECK
 from .core import SelectionMechanismId, uniform_merits
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment
@@ -43,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", required=True)
     fig.add_argument("--seed", type=int, default=None)
 
-    chk = sub.add_parser("check", help="re-derive every output file from the stored chains and compare")
+    chk = sub.add_parser("check", help="re-run the echoed scenario and compare every output file")
     chk.add_argument("--out", required=True)
     return parser
 
@@ -72,6 +74,8 @@ _SELECTION_FIGURES = {
 
 def _cmd_figure(args) -> int:
     if args.name in _SELECTION_FIGURES:
+        if args.seed is not None:
+            raise ScenarioError("--seed", f"{args.name} draws nothing at random; only ev-sync-rewards takes a seed")
         mech, population, n, heights = _SELECTION_FIGURES[args.name]
         stats = run_selection_experiment(population, n, mech, heights)
         os.makedirs(args.out, exist_ok=True)
@@ -93,16 +97,13 @@ def _cmd_figure(args) -> int:
 
 def _cmd_check(args) -> int:
     summary = regrade_output_dir(args.out)
-    _atomic_write(
-        os.path.join(args.out, "fairness-check.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(args.out, _CHECK), json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if summary["matches_stored"]:
-        print(f"all {len(summary['files'])} output files match their re-derivation from the chains")
+        print(f"all {len(summary['files'])} output files match a re-run of the echoed scenario")
         return 0
     first = summary["first_difference"]
-    problem = "is missing" if summary["files"][first] == "missing" else "differs from its re-derivation"
-    print(f"{first} {problem} (see fairness-check.json)", file=sys.stderr)
+    problem = "is missing" if summary["files"][first] == "missing" else "differs from the re-run"
+    print(f"{first} {problem} (see {_CHECK})", file=sys.stderr)
     return 1
 
 

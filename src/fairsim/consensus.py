@@ -34,7 +34,6 @@ import random
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .core import (
-    EMPTY_MAPPING,
     GENESIS_HASH,
     BehaviorKind,
     Block,
@@ -128,12 +127,11 @@ class RunResult(NamedTuple):
     chain: Blockchain
     committees: Dict[int, List[ProcessId]]
     matrix: RewardMatrix
-    # what only the engine saw; a result rebuilt from a stored chain has none of it
-    to_reward: Mapping[ProcessId, Dict[int, Set[ProcessId]]] = EMPTY_MAPPING
-    decided_at: Mapping[ProcessId, Dict[int, SimTime]] = EMPTY_MAPPING
+    to_reward: Mapping[ProcessId, Dict[int, Set[ProcessId]]]
+    decided_at: Mapping[ProcessId, Dict[int, SimTime]]
     # one (time, deliver_at, sender, recipient, kind value, height) per copy sent
-    trace: Sequence[tuple] = ()
-    finished_at: SimTime = 0
+    trace: Sequence[tuple]
+    finished_at: SimTime
 
 
 class _Slot:

@@ -184,43 +184,6 @@ def chain_to_jsonl(bc: Blockchain) -> str:
     return "\n".join(lines)
 
 
-def chain_from_jsonl(text: str, genesis: GenesisConfig) -> Blockchain:
-    """The chain of a run of ``genesis`` from ``chain_to_jsonl``'s text.
-
-    Only what the run chose is read: each block's committee and reward
-    vector. The genesis line is skipped, and each block's height,
-    parent_link and payload_id are derived as the engine derives them, so a
-    stored chain that is wrong in any of them renders differently. Raises
-    ValueError naming the first line that cannot be graded: it is not JSON,
-    a field is missing, the committee is not ``genesis.n`` distinct process
-    ids, or an amount is not a non-negative integer.
-    """
-    n, population = genesis.n, genesis.population
-    blocks: List[Block] = []
-    link = GENESIS_HASH
-    committees: Dict[tuple, List[ProcessId]] = {}  # the distinct committees found good so far
-    for number, line in enumerate(text.splitlines()[1:], 2):
-        try:
-            obj = json.loads(line)
-            key, rewards = tuple(obj["committee"]), {int(k): v for k, v in obj["reward_vector"].items()}
-            committee = committees.get(key)
-            if committee is None:
-                if not (len(set(key)) == len(key) == n and all(type(p) is int and 0 <= p < population for p in key)):
-                    raise ValueError(f"the committee is not {n} distinct process ids")
-                committee = committees[key] = list(key)
-            if not all(type(amount) is int and amount >= 0 for amount in rewards.values()):
-                raise ValueError("a reward amount is not a non-negative integer")
-        except KeyError as exc:
-            raise ValueError(f"line {number}: no {exc} field") from None
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-        height = len(blocks) + 1
-        block = Block(height, committee, rewards, payload_for_height(height, link), link)
-        blocks.append(block)
-        link = simulated_hash(block)
-    return Blockchain(genesis=genesis, blocks=blocks)
-
-
 def uniform_merits(population: int) -> Dict[ProcessId, Fraction]:
     share = Fraction(1, population)
     return {pid: share for pid in range(population)}

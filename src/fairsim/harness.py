@@ -11,24 +11,22 @@ rewards.csv, selection.csv, fairness.json and aggregate.csv. The text is
 built from fixed templates, byte for byte what ``json.dumps`` or
 ``csv.writer`` would write. ``write_outputs`` writes each file atomically.
 
-``regrade_output_dir`` (``fairsim check``) rebuilds each replication from
-scenario-echo.json and the chains alone, re-grades and re-aggregates them,
-renders them with ``render_outputs`` and compares every file's bytes with
-the stored one. Only the committees and reward vectors are read from a
-chain; the comparison of the chain file checks the rest.
+``regrade_output_dir`` (``fairsim check``) re-runs the scenario that
+scenario-echo.json echoes, renders the result with ``render_outputs`` and
+compares every file's bytes with the stored one, traces included.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import re
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .consensus import EngineConfig, RunResult, SimulationEngine, check_committee
 from .core import (
     BehaviorKind,
-    Blockchain,
     GenesisConfig,
     ProcessId,
     ProcessSpec,
@@ -36,15 +34,18 @@ from .core import (
     ScenarioError,
     SelectionMechanismId,
     TimeoutPolicy,
-    chain_from_jsonl,
     chain_to_jsonl,
 )
 from .fairness import FairnessReport, GroundTruth, build_report, fairness_json
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
-from .reward import RewardMatrix, matrix_from_chain
+from .reward import RewardMatrix
 from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
+# the keys a scenario document and its genesis object may hold
+_DOCUMENT_FIELDS = ("schema_version", "name", "max_height", "population", "genesis", "network", "engine", "analyzer",
+                    "seed", "replications")
+_GENESIS_FIELDS = ("committee_size", "selection", "reward", "timeout_policy", "reward_per_member")
 
 
 class Scenario(NamedTuple):
@@ -61,6 +62,17 @@ class Scenario(NamedTuple):
 
 
 # -- scenario parsing --------------------------------------------------------
+
+def _known(obj, path: str, fields: Sequence[str]) -> dict:
+    """``obj`` when it is an object whose every key is one of ``fields``."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(path, "must be an object")
+    for key in obj:
+        if key not in fields:
+            where = path or "a scenario"
+            raise ScenarioError(f"{path}.{key}" if path else key, f"unknown field; {where} takes only {', '.join(fields)}")
+    return obj
+
 
 def _require(obj: dict, key: str, path: str):
     """``obj[key]``; ``path`` names ``obj``, and is empty for the document itself."""
@@ -103,10 +115,11 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     doc = {**doc, **{key: value for key, value in overrides.items() if value is not None}}
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}")
+    _known(doc, "", _DOCUMENT_FIELDS)
     name = doc.get("name", "scenario")
     max_height = _int(_require(doc, "max_height", ""), "max_height", lo=1)
 
-    pop = _require(doc, "population", "")
+    pop = _known(_require(doc, "population", ""), "population", ("size", "merits", "stakes", "behaviors"))
     size = _int(_require(pop, "size", "population"), "population.size", lo=1)
 
     merits_doc = pop.get("merits")
@@ -139,12 +152,13 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         raise ScenarioError("population.behaviors", "must be a list")
     for i, b in enumerate(behaviors_doc):
         path = f"population.behaviors[{i}]"
+        _known(b, path, ("process", "kind", "heights"))
         pid = _int(_require(b, "process", path), f"{path}.process", 0, size - 1)
         kind = _enum(BehaviorKind, b, "kind", path)
         for h in _heights_matching(_require(b, "heights", path), max_height, f"{path}.heights"):
             behaviors[pid][h] = kind
 
-    gen = _require(doc, "genesis", "")
+    gen = _known(_require(doc, "genesis", ""), "genesis", _GENESIS_FIELDS)
     n = _int(_require(gen, "committee_size", "genesis"), "genesis.committee_size", 1, size)
     selection = _enum(SelectionMechanismId, gen, "selection", "genesis")
     reward = _enum(RewardMechanismId, gen, "reward", "genesis")
@@ -162,14 +176,11 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         reward_per_member=_ticks(gen, "reward_per_member", "genesis", 1),
     )
 
-    model = _parse_network(_require(doc, "network", ""), size)
+    net = _require(doc, "network", "")
+    model = _parse_network(net, size)
+    _known(net, "network", ("model", *type(model)._fields))
 
-    eng = doc.get("engine", {})
-    if not isinstance(eng, dict):
-        raise ScenarioError("engine", "must be an object")
-    for key in eng:
-        if key not in EngineConfig._fields:
-            raise ScenarioError(f"engine.{key}", f"unknown field; engine takes only {', '.join(EngineConfig._fields)}")
+    eng = _known(doc.get("engine", {}), "engine", EngineConfig._fields)
     engine = EngineConfig(
         delta0=_ticks(eng, "delta0", "engine", 5),
         delta_increment=_ticks(eng, "delta_increment", "engine", 5),
@@ -177,12 +188,7 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         round_ticks=_int(eng.get("round_ticks", 100), "engine.round_ticks", lo=1),
     )
 
-    ana = doc.get("analyzer", {})
-    if not isinstance(ana, dict):
-        raise ScenarioError("analyzer", "must be an object")
-    for key in ana:
-        if key != "stabilization_window":
-            raise ScenarioError(f"analyzer.{key}", "unknown field; analyzer takes only stabilization_window")
+    ana = _known(doc.get("analyzer", {}), "analyzer", ("stabilization_window",))
     window = _int(
         ana.get("stabilization_window", max(1, max_height // 2)), "analyzer.stabilization_window", 1, max_height
     )
@@ -431,8 +437,10 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
 # (``indent=2`` for fairness.json, see ``fairness_json``) and ``csv.writer``
 # (lines ending in \r\n) for the CSV files.
 
-# the files check reads back or skips; chain and trace names take the replication index
-_ECHO, _CHAIN, _TRACE = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl"
+# chain and trace names take the replication index; _CHECK is the summary fairsim check writes
+_ECHO, _CHAIN, _TRACE, _CHECK = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl", "fairness-check.json"
+# the names _CHAIN and _TRACE give
+_REP_FILE = re.compile(r"(chain|trace)-([0-9]{3}|[1-9][0-9]{3,})\.jsonl")
 
 _AGGREGATE_HEAD = (
     "# mean/std of the reward parameter per height;"
@@ -486,9 +494,7 @@ def _trace_jsonl(trace: Sequence[tuple]) -> str:
 
 
 def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
-    """Each output file of ``result`` as (file name, text), one at a time:
-    first the files ``check`` reads back (the scenario echo and the chains),
-    then the ones it re-derives from them."""
+    """Each output file of ``result`` as (file name, text), one at a time."""
     scenario, reps = result.scenario, result.replications
     yield _ECHO, json.dumps(scenario.raw, indent=2, sort_keys=True) + "\n"
     for rr in reps:
@@ -509,43 +515,49 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
 
 
 def write_outputs(result: ScenarioResult, out_dir: str) -> None:
+    """Write every output file, then remove the chains, traces and check
+    summary of an earlier run into ``out_dir``; no other file is touched."""
     os.makedirs(out_dir, exist_ok=True)
+    written = set()
     for name, text in render_outputs(result):
         _atomic_write(os.path.join(out_dir, name), text)
+        written.add(name)
+    for name in os.listdir(out_dir):
+        if name not in written and (name == _CHECK or _REP_FILE.fullmatch(name)):
+            os.remove(os.path.join(out_dir, name))
 
 
 # -- check -------------------------------------------------------------------
 
 class MalformedOutput(ScenarioError):
-    """A file of an output directory that cannot be read as what a run
-    writes; ``path`` is the file name."""
+    """An output directory whose scenario echo cannot be read or run, or a
+    file of it that cannot be read; ``path`` is the file name."""
+
+
+# benchmarks/tracing.py wraps this name until ROADMAP item 12 makes that wrap conditional
+chain_from_jsonl = None
 
 
 def regrade_output_dir(out_dir: str) -> dict:
-    """Re-derive every output file from scenario-echo.json and the chains on
-    disk, and compare each with the stored file byte for byte.
+    """Re-run the scenario that scenario-echo.json echoes, as ``run`` does
+    but serially, and compare each file it renders with the stored one byte
+    for byte. Traces are recorded, and compared, when trace-000.jsonl exists.
 
     Returns a summary: ``files`` maps each file name to "matches", "differs"
     or "missing", ``first_difference`` names the first file that does not
     match (or is None), and ``matches_stored`` is true when every file
-    matches. Message traces are not recorded in the chains, so trace files
-    are listed under ``skipped``; files no run writes are ignored. Raises
-    MalformedOutput when the scenario echo cannot be read, when a chain
-    cannot be graded, or when a stored JSON file that differs is not a JSON
-    object.
+    matches. Files no run writes are ignored. Raises MalformedOutput when
+    the scenario echo cannot be read or run, or when a stored JSON file that
+    differs is not a JSON object.
     """
-    scenario = _read_scenario(out_dir)
-    reps = []
-    for rep in range(scenario.replications):
-        name = _CHAIN.format(rep)
-        chain = _read_chain(out_dir, name, scenario)
-        try:
-            matrix, committees = matrix_from_chain(chain)
-        except ValueError as exc:
-            raise MalformedOutput(name, str(exc)) from None
-        run = RunResult(chain=chain, committees=committees, matrix=matrix)
-        reps.append(ReplicationResult(index=rep, result=run, report=grade(scenario, matrix, committees)))
-    result = ScenarioResult(scenario=scenario, replications=reps, aggregate=compute_aggregate(scenario, reps))
+    doc = _json_or_none(_read(out_dir, _ECHO, required=True))
+    if not isinstance(doc, dict):
+        raise MalformedOutput(_ECHO, "is not a JSON object")
+    traced = os.path.exists(os.path.join(out_dir, _TRACE.format(0)))
+    try:
+        result = run_scenario(parse_scenario(doc), record_trace=traced)
+    except ScenarioError as exc:
+        raise MalformedOutput(_ECHO, f"{exc.path}: {exc.message}" if exc.path else exc.message) from None
 
     files = {}
     for name, text in render_outputs(result):
@@ -559,14 +571,7 @@ def regrade_output_dir(out_dir: str) -> dict:
         else:
             files[name] = "differs"
     first = next((name for name, status in files.items() if status != "matches"), None)
-    head, tail = _TRACE.split("{:03d}")
-    skipped = sorted(name for name in os.listdir(out_dir) if name.startswith(head) and name.endswith(tail))
-    return {
-        "files": files,
-        "first_difference": first,
-        "matches_stored": first is None,
-        "skipped": {name: "message traces are not recorded in the chains" for name in skipped},
-    }
+    return {"files": files, "first_difference": first, "matches_stored": first is None}
 
 
 def _read(out_dir: str, name: str, required: bool = False) -> Optional[bytes]:
@@ -587,28 +592,3 @@ def _json_or_none(data: bytes):
         return json.loads(data)
     except ValueError:
         return None
-
-
-def _read_scenario(out_dir: str) -> Scenario:
-    doc = _json_or_none(_read(out_dir, _ECHO, required=True))
-    if not isinstance(doc, dict):
-        raise MalformedOutput(_ECHO, "is not a JSON object")
-    try:
-        return parse_scenario(doc)
-    except ScenarioError as exc:
-        raise MalformedOutput(_ECHO, f"{exc.path}: {exc.message}" if exc.path else exc.message) from None
-
-
-def _read_chain(out_dir: str, name: str, scenario: Scenario) -> Blockchain:
-    """The chain in file ``name``, read against the scenario's genesis; only
-    its committees and reward vectors come from the file, and the files
-    derived from them check those."""
-    try:
-        chain = chain_from_jsonl(_read(out_dir, name, required=True).decode("utf-8"), scenario.genesis)
-    except ValueError as exc:
-        raise MalformedOutput(name, str(exc)) from None
-    if len(chain) != scenario.max_height + 1:
-        raise MalformedOutput(
-            name, f"holds {len(chain)} blocks; a run of the scenario writes max_height + 1 = {scenario.max_height + 1}"
-        )
-    return chain

@@ -1,6 +1,3 @@
-import json
-import re
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,8 +8,6 @@ from fairsim.core import (
     GenesisConfig,
     RewardMechanismId,
     SelectionMechanismId,
-    chain_from_jsonl,
-    chain_to_jsonl,
     payload_for_height,
     simulated_hash,
     uniform_merits,
@@ -93,45 +88,6 @@ def test_chain_validate():
 
 def test_chain_validate_empty():
     assert chain_validate(Blockchain(genesis=_genesis()))
-
-
-def test_jsonl_roundtrip():
-    bc = build_chain(4)
-    text = chain_to_jsonl(bc)
-    back = chain_from_jsonl(text, bc.genesis)
-    assert back.genesis == bc.genesis
-    assert back.blocks == bc.blocks
-    # genesis rides on the first line
-    first = json.loads(text.splitlines()[0])
-    assert "genesis" in first
-
-
-def test_jsonl_is_stable():
-    bc = build_chain(4)
-    assert chain_to_jsonl(bc) == chain_to_jsonl(chain_from_jsonl(chain_to_jsonl(bc), bc.genesis))
-
-
-def _without_committee(block):
-    del block["committee"]
-    return block
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_without_committee, "line 3: no 'committee' field"),
-        (lambda b: {**b, "committee": None}, "line 3: 'NoneType' object is not iterable"),
-        (lambda b: {**b, "committee": [0, 1, 2, 4]}, "line 3: the committee is not 4 distinct process ids"),
-        (lambda b: {**b, "reward_vector": {"0": 1.0}}, "line 3: a reward amount is not a non-negative integer"),
-        (lambda b: {**b, "reward_vector": {"x": 1}}, "line 3: invalid literal for int() with base 10: 'x'"),
-    ],
-)
-def test_jsonl_reader_names_a_line_that_cannot_be_graded(edit, message):
-    bc = build_chain(4)
-    lines = chain_to_jsonl(bc).splitlines()
-    lines[2] = json.dumps(edit(json.loads(lines[2])))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        chain_from_jsonl("\n".join(lines), bc.genesis)
 
 
 def test_uniform_merits_sum_to_one():

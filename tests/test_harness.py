@@ -11,11 +11,9 @@ import pytest
 
 from fairsim.cli import main as cli_main
 from fairsim.consensus import SimulationEngine
-from fairsim.core import chain_from_jsonl, chain_to_jsonl
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import ScenarioError, parse_scenario, run_scenario
 from fairsim.network import MessageKind
-from fairsim.reward import matrix_from_chain
 from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -247,7 +245,6 @@ def test_check_reports_every_file_it_re_derives(tmp_path, capsys):
     assert list(summary["files"]) == _RENDERED
     assert set(summary["files"].values()) == {"matches"}
     assert summary["matches_stored"] and summary["first_difference"] is None
-    assert summary["skipped"] == {}
 
 
 @pytest.mark.parametrize("name", _RENDERED)
@@ -271,15 +268,86 @@ def test_check_reports_a_missing_output_file(tmp_path, capsys):
     assert "selection.csv is missing" in capsys.readouterr().err
 
 
-def test_check_skips_traces_and_ignores_other_files(tmp_path, capsys):
+def test_check_compares_traces_and_ignores_other_files(tmp_path, capsys):
     out = tmp_path / "o"
     assert cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(out), "--trace"]) == 0
     assert cli_main(["check", "--out", str(out)]) == 0
     # a second check reads its own fairness-check.json as a file to ignore
     assert cli_main(["check", "--out", str(out)]) == 0
     summary = json.loads((out / "fairness-check.json").read_text())
-    assert list(summary["skipped"]) == ["trace-000.jsonl"]
-    assert "trace-000.jsonl" not in summary["files"] and "fairness-check.json" not in summary["files"]
+    assert summary["files"]["trace-000.jsonl"] == "matches"
+    assert set(summary) == {"files", "first_difference", "matches_stored"}
+    assert "fairness-check.json" not in summary["files"]
+
+
+def _check_fails_at(out, capsys, name, status):
+    """``fairsim check`` of ``out`` exits 1 naming ``name``, the one file
+    whose status is not "matches" but ``status``; its stderr."""
+    capsys.readouterr()
+    assert cli_main(["check", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{name} {'is missing' if status == 'missing' else 'differs'}" in err
+    summary = json.loads((out / "fairness-check.json").read_text())
+    assert summary["first_difference"] == name and not summary["matches_stored"]
+    assert {n: s for n, s in summary["files"].items() if s != "matches"} == {name: status}
+    return err
+
+
+def test_check_re_runs_the_echoed_seed(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli_main(["run", "--builtin", "evsync-tendermint-fixed", "--out", str(out), "--trace"]) == 0
+    echo = out / "scenario-echo.json"
+    doc = json.loads(echo.read_text())
+    assert doc["seed"] == 3
+    doc["seed"] = 12345
+    echo.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    assert cli_main(["check", "--out", str(out)]) == 1
+    assert "chain-000.jsonl differs" in capsys.readouterr().err
+    summary = json.loads((out / "fairness-check.json").read_text())
+    assert summary["first_difference"] == "chain-000.jsonl"
+    assert summary["files"]["scenario-echo.json"] == "matches"
+    assert summary["files"]["trace-000.jsonl"] == "differs"
+
+
+def test_check_names_a_trace_with_one_corrupted_byte(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli_main(["run", "--builtin", "goodbad-laggard", "--out", str(out), "--trace"]) == 0
+    path = out / "trace-000.jsonl"
+    path.write_bytes(_corrupt_one_byte(path.read_bytes(), path.name))
+    _check_fails_at(out, capsys, "trace-000.jsonl", "differs")
+
+
+def test_check_names_a_deleted_chain_once(tmp_path, capsys):
+    out = tmp_path / "o"
+    run_scenario(parse_scenario(_doc(replications=2)), out_dir=str(out))
+    (out / "chain-001.jsonl").unlink()
+    err = _check_fails_at(out, capsys, "chain-001.jsonl", "missing")
+    assert err == "chain-001.jsonl is missing (see fairness-check.json)\n"
+
+
+def test_check_of_a_pooled_traced_run(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["run", "--builtin", "sync-suspicion-equivocator", "--reps", "4", "--jobs", "2", "--trace"]
+    assert cli_main(args + ["--out", str(out)]) == 0
+    assert cli_main(["check", "--out", str(out)]) == 0
+    summary = json.loads((out / "fairness-check.json").read_text())
+    assert [summary["files"][f"trace-{rep:03d}.jsonl"] for rep in range(4)] == ["matches"] * 4
+
+
+def test_a_run_into_a_used_directory_leaves_only_its_own_files(tmp_path, capsys):
+    out = tmp_path / "o"
+    first = ["run", "--builtin", "goodbad-laggard", "--out", str(out)]
+    assert cli_main(first + ["--reps", "3", "--trace"]) == 0
+    assert cli_main(["check", "--out", str(out)]) == 0
+    # names no replication index gives, which a run must leave alone
+    others = ["figure.csv", "chain-0001.jsonl", "chain-1.jsonl", "trace-abc.jsonl", "chain-000.jsonl.bak"]
+    for name in others:
+        (out / name).write_text("not an output of run\n")
+    assert cli_main(first + ["--reps", "2", "--seed", "9"]) == 0
+    assert sorted(os.listdir(out)) == sorted(_RENDERED + others)
+    assert cli_main(["check", "--out", str(out)]) == 0
+    assert sorted(json.loads((out / "fairness-check.json").read_text())["files"]) == sorted(_RENDERED)
 
 
 def _truncate_last_line(out):
@@ -304,14 +372,29 @@ def _edit_chain_line(out, number, edit):
 
 
 @pytest.mark.parametrize(
+    "status, damage",
+    [
+        ("differs", lambda out: (out / "chain-000.jsonl").write_text("")),
+        ("differs", _genesis_only),
+        ("differs", _truncate_last_line),
+        ("differs", lambda out: _edit_chain_line(out, 3, lambda b: b.update(committee=[0, 1, 1, 2]))),
+        ("differs", lambda out: _edit_chain_line(out, 3, lambda b: b.update(reward_vector={"0": -1}))),
+        ("missing", lambda out: (out / "chain-000.jsonl").unlink()),
+    ],
+    ids=["empty", "genesis-only", "truncated", "repeated-member", "negative-amount", "deleted"],
+)
+def test_check_names_a_chain_that_no_run_of_the_echo_writes(tmp_path, capsys, status, damage):
+    """Nothing is read from a chain: the re-run writes its own, so a chain
+    that is cut short, empty, or wrong in any field only differs."""
+    out = tmp_path / "o"
+    run_scenario(parse_scenario(_doc()), out_dir=str(out))
+    damage(out)
+    _check_fails_at(out, capsys, "chain-000.jsonl", status)
+
+
+@pytest.mark.parametrize(
     "field, damage",
     [
-        ("chain-000.jsonl", lambda out: (out / "chain-000.jsonl").write_text("")),
-        ("chain-000.jsonl", _genesis_only),
-        ("chain-000.jsonl", _truncate_last_line),
-        ("chain-000.jsonl", lambda out: _edit_chain_line(out, 3, lambda b: b.update(committee=[0, 1, 1, 2]))),
-        ("chain-000.jsonl", lambda out: _edit_chain_line(out, 3, lambda b: b.update(reward_vector={"0": -1}))),
-        ("chain-000.jsonl", lambda out: (out / "chain-000.jsonl").unlink()),
         ("fairness.json", lambda out: (out / "fairness.json").write_text("[]")),
         ("fairness.json", lambda out: (out / "fairness.json").write_text("{")),
         ("scenario-echo.json", lambda out: (out / "scenario-echo.json").unlink()),
@@ -348,20 +431,6 @@ def test_check_names_a_chain_whose_derived_field_is_wrong(tmp_path, capsys, line
     assert "chain-000.jsonl" in capsys.readouterr().err
     summary = json.loads((out / "fairness-check.json").read_text())
     assert [n for n, status in summary["files"].items() if status != "matches"] == ["chain-000.jsonl"]
-
-
-def test_matrix_from_chain_reconstruction(tmp_path):
-    sc = parse_scenario(_doc())
-    res = run_scenario(sc)
-    rr = res.replications[0]
-    # the matrix rebuilt from the serialized chain is the one the run graded
-    matrix, committees = matrix_from_chain(chain_from_jsonl(chain_to_jsonl(rr.result.chain), sc.genesis))
-    assert matrix.heights() == rr.result.matrix.heights()
-    assert committees == rr.result.committees
-    for h in matrix.heights():
-        assert matrix.rewarded(h) == rr.result.matrix.rewarded(h)
-        for pid in committees[h]:
-            assert matrix.amount(h, pid) == rr.result.matrix.amount(h, pid)
 
 
 def _files(out_dir):
@@ -683,6 +752,13 @@ def _over_byzantine_bound(doc):
         ("engine.allow_quorum_violation", _engine(allow_quorum_violation="yes")),
         ("engine.allow_quorum_violation", _engine(allow_quorum_violation=1)),
         ("engine.bogus", _engine(bogus=5)),
+        # no object of the document takes a key outside its schema
+        ("genesis.timeout_polcy", _genesis(timeout_polcy="modulable")),
+        ("network.dealy", lambda doc: doc["network"].update(dealy=3)),
+        ("network.laggards", lambda doc: doc["network"].update(laggards={"3": 60})),
+        ("population.stake", lambda doc: doc["population"].update(stake=5)),
+        ("max_heigth", lambda doc: doc.update(max_heigth=doc.pop("max_height"))),
+        ("population.behaviors[0].kindd", lambda doc: doc["population"]["behaviors"][0].update(kindd="silent")),
         ("seed", lambda doc: doc.update(seed="x")),
         ("genesis.reward_per_member", _genesis(reward_per_member="x")),
         ("genesis.reward_per_member", _genesis(reward_per_member=-1)),
@@ -753,6 +829,34 @@ def test_cli_byzantine_committee_in_the_engine_is_one_json_line_with_and_without
         assert cli_main(args) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [json.dumps({"error": expected})], jobs
+
+
+@pytest.mark.parametrize(
+    "edit, field, message",
+    [
+        (_engine(bogus=5), "engine.bogus", "unknown field; engine takes only delta0, delta_increment, round_ticks"),
+        (_analyzer(window=5), "analyzer.window", "unknown field; analyzer takes only stabilization_window"),
+        (_network("synchronous", dealy=3), "network.dealy", "unknown field; network takes only model, delay"),
+        (lambda doc: doc.update(max_heigth=5), "max_heigth",
+         "unknown field; a scenario takes only schema_version, name, max_height, population, genesis, network,"
+         " engine, analyzer, seed, replications"),
+    ],
+)
+def test_an_unknown_key_is_named_with_the_keys_its_object_takes(edit, field, message):
+    doc = _doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert (exc.value.path, exc.value.message) == (field, message)
+
+
+def test_cli_selection_figure_refuses_a_seed(tmp_path, capsys):
+    for name in ("selection-highest", "selection-lowest"):
+        assert cli_main(["figure", name, "--seed", "5", "--out", str(tmp_path / name)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["field"] == "--seed"
+        assert not (tmp_path / name).exists()
 
 
 def test_cli_unknown_figure(tmp_path, capsys):

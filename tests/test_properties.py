@@ -89,7 +89,7 @@ def scenarios(draw, laggard=False):
 def test_engine_invariants(doc):
     # AgreementViolation and a second write of a reward row both raise here
     with tempfile.TemporaryDirectory() as out:
-        result = run_scenario(parse_scenario(doc), out_dir=out)
+        result = run_scenario(parse_scenario(doc), out_dir=out, record_trace=True)
         chain = result.replications[0].result.chain
         assert chain_validate(chain)
         assert len(chain) == doc["max_height"] + 1
@@ -100,7 +100,8 @@ def test_engine_invariants(doc):
         for pid, collected in result.replications[0].result.to_reward.items():
             for h, senders in collected.items():
                 assert senders <= set(chain.block_at(h).committee), (pid, h)
-        # check re-derives every file the run wrote, byte for byte
+        # check re-runs the echoed scenario and matches every file the run
+        # wrote, the trace included, byte for byte
         files = regrade_output_dir(out)["files"]
         assert sorted(files) == sorted(os.listdir(out))
         assert set(files.values()) == {"matches"}
