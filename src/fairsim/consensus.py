@@ -56,7 +56,7 @@ from .network import (
     EventuallySynchronous,
     assign_delay,
 )
-from .reward import RewardMatrix, SuspicionState, allocate, matrix_from_chain
+from .reward import RewardMatrix, SuspicionState, allocate
 from .selection import SelectionState
 
 # the enum members the handlers test, bound once: an Enum class attribute
@@ -90,12 +90,12 @@ def max_byzantine(n: int) -> int:
     return (n - 1) // 3
 
 
-def check_committee(committee: Sequence[ProcessSpec], h: int) -> None:
-    """Raise QuorumImpossible when more members of ``committee`` are not
-    correct at height ``h`` than consensus tolerates. Within that bound the
+def check_committee(committee: Sequence[ProcessId], faulty: Mapping[ProcessId, BehaviorKind], h: int) -> None:
+    """Raise QuorumImpossible when more members of ``committee`` are in
+    ``faulty`` at height ``h`` than consensus tolerates. Within that bound the
     correct members alone make a quorum, so the height can always decide."""
     n = len(committee)
-    byzantine = sum(1 for s in committee if s.behavior_at(h) is not _CORRECT)
+    byzantine = sum(1 for pid in committee if pid in faulty)
     if byzantine > max_byzantine(n):
         raise QuorumImpossible(
             "population.behaviors",
@@ -163,10 +163,12 @@ class _Proc:
 class _Height:
     """What is fixed for one height once its parent block is on the chain."""
 
-    __slots__ = ("committee", "members", "order", "quorum", "evidence", "parent_link", "payload")
+    __slots__ = ("committee", "faulty", "members", "order", "quorum", "evidence", "parent_link", "payload")
 
-    def __init__(self, h: int, committee: List[ProcessId], parent_link: int) -> None:
+    def __init__(self, h: int, committee: List[ProcessId], parent_link: int, scheduled: Sequence[ProcessSpec]) -> None:
         self.committee = committee
+        # each process not correct at h, member or not -> its kind
+        self.faulty = {s.id: kind for s in scheduled if (kind := s.behavior_at(h)) is not _CORRECT}
         self.members = frozenset(committee)
         self.order = sorted(committee)
         self.quorum = quorum_size(len(committee))
@@ -192,6 +194,7 @@ class SimulationEngine:
         record_trace: bool = False,
     ) -> None:
         self.specs = {s.id: s for s in specs}
+        self._scheduled = [s for s in specs if s.behavior]  # only these can be faulty at some height
         self.genesis = genesis
         self.model = model
         self.max_height = max_height
@@ -225,10 +228,10 @@ class SimulationEngine:
     # -- plumbing -----------------------------------------------------------
 
     def _open(self, h: int, parent_link: int) -> None:
-        """Fix height h's committee and valid payload once ``parent_link``'s block h-1 has landed."""
-        committee = self._sel_state.committee(h)
-        check_committee([self.specs[pid] for pid in committee], h)
-        self._heights[h] = _Height(h, committee, parent_link)
+        """Fix height h's committee, faults and valid payload once ``parent_link``'s block h-1 has landed."""
+        info = _Height(h, self._sel_state.committee(h), parent_link, self._scheduled)
+        check_committee(info.committee, info.faulty, h)
+        self._heights[h] = info
 
     def _send(
         self,
@@ -307,9 +310,9 @@ class SimulationEngine:
         st = self.procs[pid]
         if st.height != h or h in st.decided:
             return
-        order = self._heights[h].order
-        if order[r % len(order)] == pid:
-            behavior = self.specs[pid].behavior_at(h)
+        info = self._heights[h]
+        if info.order[r % len(info.order)] == pid:
+            behavior = info.faulty.get(pid, _CORRECT)
             if behavior is _CORRECT:
                 self._propose(pid, h, t)
             elif behavior is _EQUIVOCATE:
@@ -369,7 +372,7 @@ class SimulationEngine:
         member = pid in info.members
         if member and slot.proposal_seen and not slot.voted:
             slot.voted = True
-            behavior = self.specs[pid].behavior_at(h)
+            behavior = info.faulty.get(pid, _CORRECT)
             if behavior is _CORRECT:
                 self._send(pid, info.order, _VOTE, h, info.payload, t)
             elif behavior is _EQUIVOCATE:
@@ -386,7 +389,7 @@ class SimulationEngine:
         elif self.chain.block_at(h).payload_id != info.payload:
             raise AgreementViolation(f"conflicting decisions at height {h}")
 
-        if pid in info.members and self.specs[pid].behavior_at(h) is not _SILENT:
+        if pid in info.members and info.faulty.get(pid) is not _SILENT:
             self._send(pid, self._everyone, _DECISION, h, info.payload, t)
         self.queue.push(t + st.delta, ("collect", pid, h))
         if h == self._gst_block:
@@ -409,7 +412,7 @@ class SimulationEngine:
         # each decision the slot holds came within the window, which this
         # collect ends, and from a member, since only members send decisions
         st.to_reward[h] = set(slot.deliveries)
-        if self._sync_omission and self.specs[pid].behavior_at(h) is _CORRECT:
+        if self._sync_omission and pid not in info.faulty:
             # with instant delivery, total silence over a height is a
             # detectable omission
             for q in info.committee:
@@ -463,10 +466,13 @@ class SimulationEngine:
 
     def run(self) -> RunResult:
         finished_at = self._deliver()
-        matrix, committees = matrix_from_chain(self.chain)
+        blocks = self.chain.blocks
+        matrix = RewardMatrix()
+        for block, carrier in zip(blocks, blocks[1:]):  # block h+1 carries the rewards for h's committee
+            matrix.set_row(block.height, block.committee, carrier.reward_vector)
         return RunResult(
             chain=self.chain,
-            committees=committees,
+            committees={b.height: b.committee for b in blocks},
             matrix=matrix,
             to_reward={pid: st.to_reward for pid, st in self.procs.items()},
             decided_at={pid: st.decided for pid, st in self.procs.items()},

@@ -10,7 +10,7 @@ import json
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 ProcessId = int
 
@@ -47,9 +47,6 @@ class BehaviorKind(Enum):
     BYZANTINE_DECISION_ONLY = "decision_only"
 
 
-# bound once: behavior_at is on the engine's hot path, and reading a member off
-# its Enum class costs several times a module global
-_CORRECT = BehaviorKind.CORRECT
 EMPTY_MAPPING: Mapping = MappingProxyType({})  # a mapping field's default, shared by every instance
 
 
@@ -73,16 +70,32 @@ class TimeoutPolicy(Enum):
     MODULABLE = "modulable"
 
 
+class BehaviorRules:
+    """A behaviour schedule as its scenario states it: (kind, heights) rules,
+    ``heights`` a range or a frozenset; the last rule that holds a height wins."""
+
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: Sequence[Tuple[BehaviorKind, range | FrozenSet[int]]]) -> None:
+        self.rules = tuple(rules)
+
+    def get(self, height: int, default: Optional[BehaviorKind] = None) -> Optional[BehaviorKind]:
+        for kind, heights in reversed(self.rules):
+            if height in heights:
+                return kind
+        return default
+
+
 class ProcessSpec(NamedTuple):
     """Identity, merit, initial stake and per-height behavior of one process."""
 
     id: ProcessId
     merit: Fraction
     initial_stake: int
-    behavior: Mapping[int, BehaviorKind] = EMPTY_MAPPING
+    behavior: BehaviorRules | Mapping[int, BehaviorKind] = EMPTY_MAPPING
 
     def behavior_at(self, height: int) -> BehaviorKind:
-        return self.behavior.get(height, _CORRECT)
+        return self.behavior.get(height, BehaviorKind.CORRECT)
 
 
 class GenesisConfig(NamedTuple):

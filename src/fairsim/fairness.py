@@ -21,30 +21,23 @@ class InsufficientTrace(ValueError):
 class GroundTruth:
     """Which processes actually followed the protocol at each height."""
 
-    __slots__ = ("_faulty",)
+    __slots__ = ("_scheduled",)
 
-    def __init__(self, faulty: Dict[int, FrozenSet[ProcessId]]) -> None:
-        self._faulty = faulty
+    def __init__(self, scheduled: Sequence[ProcessSpec]) -> None:
+        self._scheduled = scheduled
 
     @classmethod
     def from_specs(cls, specs: Sequence[ProcessSpec]) -> "GroundTruth":
-        # height -> the processes not scheduled correct there, indexed once
-        faulty: Dict[int, Set[ProcessId]] = {}
-        for spec in specs:
-            for h, kind in spec.behavior.items():
-                if kind is not BehaviorKind.CORRECT:
-                    faulty.setdefault(h, set()).add(spec.id)
-        return cls({h: frozenset(pids) for h, pids in faulty.items()})
+        # only a process with a behaviour schedule can be faulty
+        return cls([spec for spec in specs if spec.behavior])
 
     def faulty(self, height: int) -> FrozenSet[ProcessId]:
         """The processes that did not follow the protocol at ``height``."""
-        return self._faulty.get(height, _NOBODY)
+        return frozenset(s.id for s in self._scheduled if s.behavior_at(height) is not BehaviorKind.CORRECT)
 
     def followed_protocol(self, height: int, pid: ProcessId) -> bool:
         return pid not in self.faulty(height)
 
-
-_NOBODY: FrozenSet[ProcessId] = frozenset()
 
 #: (non-member rewards are zero, completeness, accuracy)
 HeightGrade = Tuple[bool, bool, bool]

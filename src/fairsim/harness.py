@@ -24,9 +24,11 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .consensus import EngineConfig, RunResult, SimulationEngine, check_committee
+from .consensus import EngineConfig, RunResult, SimulationEngine
 from .core import (
+    EMPTY_MAPPING,
     BehaviorKind,
+    BehaviorRules,
     GenesisConfig,
     ProcessId,
     ProcessSpec,
@@ -83,27 +85,28 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _heights_matching(spec, max_height: int, path: str) -> List[int]:
-    # no height past max_height + 1 is ever read, so none is expanded
+def _heights_matching(spec, max_height: int, path: str) -> range | frozenset:
+    """The heights in 1..max_height + 1 that ``spec`` names: a range, or a
+    frozenset for a list. No later height is ever read."""
     last = max_height + 1
     if spec == "all":
-        return list(range(1, last + 1))
+        return range(1, last + 1)
     if spec == "even":
-        return list(range(2, last + 1, 2))
+        return range(2, last + 1, 2)
     if spec == "odd":
-        return list(range(1, last + 1, 2))
+        return range(1, last + 1, 2)
     if isinstance(spec, list):
         heights = [_int(h, path) for h in spec]
-        return [h for h in heights if 1 <= h <= last]
+        return frozenset(h for h in heights if 1 <= h <= last)
     if isinstance(spec, dict):
         if spec.keys() in ({"mod"}, {"mod", "rem"}):
             m = _int(spec["mod"], path, lo=1)
             r = _int(spec.get("rem", 0), path, 0, m - 1)
-            return [h for h in range(1, last + 1) if h % m == r]
+            return range(r or m, last + 1, m)
         if spec.keys() in ({"from"}, {"from", "to"}):
             lo = _int(spec["from"], path)
             hi = _int(spec["to"], path, lo=lo) if "to" in spec else last
-            return list(range(max(lo, 1), min(hi, last) + 1))
+            return range(max(lo, 1), min(hi, last) + 1)
     raise ScenarioError(path, f"unrecognized heights specifier: {spec!r}")
 
 
@@ -146,7 +149,7 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
             "population.stakes", "must be a non-negative integer or a {process id: non-negative integer} mapping"
         )
 
-    behaviors: Dict[int, Dict[int, BehaviorKind]] = {pid: {} for pid in range(size)}
+    rules: Dict[int, list] = {}  # process -> its (kind, heights) rules, in document order
     behaviors_doc = pop.get("behaviors", [])
     if not isinstance(behaviors_doc, list):
         raise ScenarioError("population.behaviors", "must be a list")
@@ -155,8 +158,9 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         _known(b, path, ("process", "kind", "heights"))
         pid = _int(_require(b, "process", path), f"{path}.process", 0, size - 1)
         kind = _enum(BehaviorKind, b, "kind", path)
-        for h in _heights_matching(_require(b, "heights", path), max_height, f"{path}.heights"):
-            behaviors[pid][h] = kind
+        heights = _heights_matching(_require(b, "heights", path), max_height, f"{path}.heights")
+        if heights:
+            rules.setdefault(pid, []).append((kind, heights))
 
     gen = _known(_require(doc, "genesis", ""), "genesis", _GENESIS_FIELDS)
     n = _int(_require(gen, "committee_size", "genesis"), "genesis.committee_size", 1, size)
@@ -193,17 +197,10 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         ana.get("stabilization_window", max(1, max_height // 2)), "analyzer.stabilization_window", 1, max_height
     )
 
+    behaviors = {pid: BehaviorRules(r) for pid, r in rules.items()}
     specs = [
-        ProcessSpec(id=pid, merit=merits[pid], initial_stake=stakes.get(pid, 0), behavior=behaviors[pid])
-        for pid in range(size)
+        ProcessSpec(pid, merits[pid], stakes.get(pid, 0), behaviors.get(pid, EMPTY_MAPPING)) for pid in range(size)
     ]
-
-    # when every process sits on every committee, the Byzantine bound can be
-    # checked before running; otherwise the engine checks each committee. At
-    # a height no behaviour names, every member is correct.
-    if size == n:
-        for h in sorted({h for spec in specs for h in spec.behavior}):
-            check_committee(specs, h)
 
     return Scenario(
         name=name,

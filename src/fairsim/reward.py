@@ -9,9 +9,9 @@ within floor((n-1)/3).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
-from .core import Blockchain, ProcessId, RewardMechanismId
+from .core import ProcessId, RewardMechanismId
 
 
 def suspicion_quorum(n: int) -> int:
@@ -59,17 +59,6 @@ class RewardMatrix:
 
     def rewarded(self, height: int) -> Set[ProcessId]:
         return {pid for pid, amt in self.row(height).items() if amt > 0}
-
-
-def matrix_from_chain(chain: Blockchain) -> Tuple[RewardMatrix, Dict[int, List[ProcessId]]]:
-    """Reward matrix and committee map implied by a chain: the block at h+1
-    writes row h for the committee of h."""
-    matrix = RewardMatrix()
-    committees = {b.height: b.committee for b in chain.blocks}
-    for block in chain.blocks:
-        if block.height >= 2:
-            matrix.set_row(block.height - 1, committees[block.height - 1], block.reward_vector)
-    return matrix, committees
 
 
 class SuspicionState:

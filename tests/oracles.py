@@ -2,12 +2,12 @@
 
 No program path needs them: the engine builds each committee incrementally
 and derives every parent link as it appends, ``fairsim check`` derives the
-links of a stored chain the same way, and fairness.json is rendered from
-templates.
+links of a stored chain the same way, fairness.json is rendered from
+templates, and a behaviour schedule is kept as the rules its scenario states.
 """
-from typing import List
+from typing import Dict, List
 
-from fairsim.core import GENESIS_HASH, Blockchain, ProcessId, SelectionMechanismId, simulated_hash
+from fairsim.core import GENESIS_HASH, BehaviorKind, Blockchain, ProcessId, SelectionMechanismId, simulated_hash
 from fairsim.fairness import FairnessReport
 from fairsim.selection import SelectionState
 
@@ -46,3 +46,29 @@ def report_json(report: FairnessReport) -> dict:
         },
         "witnesses": [{"height": h, "process": p, "condition": c} for h, p, c in report.witnesses],
     }
+
+
+def _names(heights, h: int) -> bool:
+    """Whether the ``heights`` specifier of a scenario behaviour names height ``h``."""
+    if heights == "all":
+        return True
+    if heights in ("even", "odd"):
+        return h % 2 == (heights == "odd")
+    if isinstance(heights, list):
+        return h in heights
+    if "mod" in heights:
+        return h % heights["mod"] == heights.get("rem", 0)
+    return heights["from"] <= h and ("to" not in heights or h <= heights["to"])
+
+
+def expanded_schedule(behaviors: list, max_height: int) -> Dict[ProcessId, Dict[int, BehaviorKind]]:
+    """Each process's {height: kind} over heights 1..max_height + 1, one entry
+    per height a behaviour names, the last behaviour that names it winning:
+    the table the parser once built, of valid ``population.behaviors``."""
+    schedule: Dict[ProcessId, Dict[int, BehaviorKind]] = {}
+    for b in behaviors:
+        table = schedule.setdefault(b["process"], {})
+        for h in range(1, max_height + 2):
+            if _names(b["heights"], h):
+                table[h] = BehaviorKind(b["kind"])
+    return schedule

@@ -5,16 +5,21 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairsim.cli import main as cli_main
 from fairsim.consensus import SimulationEngine
+from fairsim.core import EMPTY_MAPPING, BehaviorKind
+from fairsim.fairness import GroundTruth
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import ScenarioError, parse_scenario, run_scenario
 from fairsim.network import MessageKind
 from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
+from oracles import expanded_schedule
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -30,7 +35,7 @@ def test_parse_roundtrip_defaults():
     assert sc.genesis.n == 4
     assert sc.window == 10  # max_height // 2
     assert sc.replications == 1
-    assert sc.specs[1].behavior  # equivocation schedule materialized
+    assert sc.specs[1].behavior  # the equivocation schedule is kept
 
 
 def test_parse_rejects_bad_schema_version():
@@ -79,64 +84,144 @@ def test_parse_rejects_merits_not_summing_to_one():
     assert exc.value.path == "population.merits"
 
 
-def test_parse_rejects_too_many_byzantine():
+def test_run_refuses_too_many_byzantine():
+    """Parsing leaves the Byzantine bound to the engine, which refuses the
+    committee of height 3 when that height opens."""
     doc = _doc()
     doc["population"]["behaviors"] = [
         {"process": 0, "kind": "silent", "heights": [3]},
         {"process": 1, "kind": "silent", "heights": [3]},
     ]
-    with pytest.raises(ScenarioError):
-        parse_scenario(doc)
+    sc = parse_scenario(doc)
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(sc)
+    assert exc.value.path == "population.behaviors"
+    assert exc.value.message == "height 3: 2 Byzantine members in a committee of 4; at most 1 tolerated"
+
+
+def _behaviors(heights, max_height=20):
+    """Process 1's behaviour at each height 1..max_height + 1 of ``_doc``
+    when one silent behaviour names ``heights``."""
+    doc = _doc(max_height=max_height)
+    doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": heights}]
+    spec = parse_scenario(doc).specs[1]
+    return [spec.behavior_at(h) for h in range(1, max_height + 2)]
+
+
+def _silent(heights, max_height=20):
+    kinds = _behaviors(heights, max_height)
+    assert set(kinds) <= {BehaviorKind.CORRECT, BehaviorKind.BYZANTINE_SILENT}
+    return [h for h, kind in enumerate(kinds, 1) if kind is BehaviorKind.BYZANTINE_SILENT]
 
 
 def test_heights_specifiers():
-    doc = _doc()
-    doc["population"]["behaviors"] = [
-        {"process": 1, "kind": "silent", "heights": {"mod": 5, "rem": 2}}
-    ]
-    sc = parse_scenario(doc)
-    assert sorted(sc.specs[1].behavior) == [2, 7, 12, 17]
-    doc["population"]["behaviors"] = [
-        {"process": 1, "kind": "silent", "heights": {"from": 4, "to": 6}}
-    ]
-    sc = parse_scenario(doc)
-    assert sorted(sc.specs[1].behavior) == [4, 5, 6]
-    doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": [1, 9]}]
-    sc = parse_scenario(doc)
-    assert sorted(sc.specs[1].behavior) == [1, 9]
+    assert _silent({"mod": 5, "rem": 2}) == [2, 7, 12, 17]
+    assert _silent({"mod": 5}) == [5, 10, 15, 20]
+    assert _silent({"from": 4, "to": 6}) == [4, 5, 6]
+    assert _silent({"from": 19}) == [19, 20, 21]
+    assert _silent([1, 9]) == [1, 9]
+    assert _silent("even") == list(range(2, 22, 2))
+    assert _silent("odd") == list(range(1, 22, 2))
+    assert _silent("all") == list(range(1, 22))
 
 
 def test_heights_past_the_run_are_not_expanded():
-    """Only heights 1..max_height+1 are read, so only they are expanded: a
-    huge range parses at once and means what its part inside the run means."""
-    def specs(heights):
-        doc = _doc(max_height=200)
-        doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": heights}]
-        return parse_scenario(doc).specs
-
+    """A rule keeps only the heights inside the run, as a range or a set: a
+    huge range parses at once and means what its part inside the run means,
+    and a rule that names no height of the run leaves no schedule at all."""
     start = time.perf_counter()
-    huge = specs({"from": 1, "to": 3_000_000})
+    huge = _behaviors({"from": 1, "to": 3_000_000}, 200)
     assert time.perf_counter() - start < 1.0
-    assert huge == specs({"from": 1, "to": 201})
-    assert specs({"from": -5, "to": 3}) == specs({"from": 1, "to": 3})
-    assert specs([0, -3, 9, 1, 202, 10**12]) == specs([9, 1])
-    assert specs({"from": 500}) == specs({"from": 300, "to": 400}) == specs([])
+    assert huge == _behaviors({"from": 1, "to": 201}, 200)
+    assert _behaviors({"from": -5, "to": 3}, 200) == _behaviors({"from": 1, "to": 3}, 200)
+    assert _behaviors([0, -3, 9, 1, 202, 10**12], 200) == _behaviors([9, 1], 200)
+    assert _behaviors({"from": 500}, 200) == _behaviors({"from": 300, "to": 400}, 200) == _behaviors([], 200)
+    doc = _doc(max_height=200)
+    doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": h} for h in ({"from": 500}, [])]
+    assert parse_scenario(doc).specs[1].behavior is EMPTY_MAPPING
 
 
-def test_select_all_byzantine_bound_visits_only_the_named_heights():
-    """The parse-time Byzantine check under select_all reads only the heights
-    some behaviour names, so a run of a million heights parses at once."""
-    doc = _doc(max_height=10**6)
-    doc["population"]["behaviors"] = [
-        {"process": 1, "kind": "silent", "heights": [5, 999_999]},
-        {"process": 2, "kind": "equivocate", "heights": [999_999]},
+def test_a_huge_horizon_parses_at_once_in_little_memory():
+    # parsing does not check the Byzantine bound: the engine would refuse
+    # height 14, where processes 1 and 2 both misbehave
+    doc = _doc(max_height=10**9)
+    doc["population"]["behaviors"].append({"process": 2, "kind": "silent", "heights": {"mod": 7}})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        sc = parse_scenario(doc)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 2**20
+    # 10**9 + 1 = 7 * 142857143 is the run's last height
+    heights = (1, 2, 7, 14, 10**9, 10**9 + 1, 10**9 + 2, 10**9 + 8)
+    assert [sc.specs[1].behavior_at(h).value for h in heights] == [
+        "correct", "equivocate", "correct", "equivocate", "equivocate", "correct", "correct", "correct"
     ]
-    start = time.perf_counter()
-    with pytest.raises(ScenarioError) as exc:
-        parse_scenario(doc)
-    assert time.perf_counter() - start < 0.5
-    assert exc.value.path == "population.behaviors"
-    assert exc.value.message == "height 999999: 2 Byzantine members in a committee of 4; at most 1 tolerated"
+    assert [sc.specs[2].behavior_at(h).value for h in heights] == [
+        "correct", "correct", "silent", "silent", "correct", "silent", "correct", "correct"
+    ]
+
+
+# every heights specifier a scenario can hold, over and around a run of up to 60 heights
+_HEIGHTS = st.one_of(
+    st.sampled_from(["all", "even", "odd"]),
+    st.lists(st.integers(-3, 70), max_size=6),
+    st.integers(1, 8).flatmap(
+        lambda m: st.fixed_dictionaries({"mod": st.just(m)}, optional={"rem": st.integers(0, m - 1)})
+    ),
+    st.integers(-5, 70).flatmap(
+        lambda lo: st.fixed_dictionaries({"from": st.just(lo)}, optional={"to": st.integers(lo, 80)})
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_schedule_matches_its_per_height_expansion(data):
+    """Up to four overlapping rules per process, of every kind ("correct"
+    included), read height by height as the per-height table reads them."""
+    size = data.draw(st.integers(1, 5))
+    max_height = data.draw(st.integers(1, 60))
+    kinds = st.sampled_from([k.value for k in BehaviorKind])
+    rules = [
+        {"process": pid, "kind": data.draw(kinds), "heights": data.draw(_HEIGHTS)}
+        for pid in range(size)
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    behaviors = data.draw(st.permutations(rules))
+    doc = _doc(max_height=max_height)
+    doc["population"] = {"size": size, "behaviors": behaviors}
+    doc["genesis"]["committee_size"] = size
+    specs = parse_scenario(doc).specs
+    expected = expanded_schedule(behaviors, max_height)
+    truth = GroundTruth.from_specs(specs)
+    for h in range(1, max_height + 2):
+        kinds = {pid: expected.get(pid, {}).get(h, BehaviorKind.CORRECT) for pid in range(size)}
+        assert {s.id: s.behavior_at(h) for s in specs} == kinds, h
+        assert truth.faulty(h) == {pid for pid, kind in kinds.items() if kind is not BehaviorKind.CORRECT}, h
+
+
+def test_select_all_refusal_through_the_pool_is_one_json_line(tmp_path, capsys):
+    """A select_all committee over the Byzantine bound at height 3 is refused
+    by the engine when that height opens, in a pool worker under --jobs 2,
+    with the line a refusal at parse time gave; nothing is written."""
+    doc = _doc(max_height=10)
+    doc["population"]["behaviors"] = [{"process": p, "kind": "silent", "heights": [3]} for p in (1, 2)]
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    expected = (
+        '{"error": {"field": "population.behaviors",'
+        ' "message": "height 3: 2 Byzantine members in a committee of 4; at most 1 tolerated"}}'
+    )
+    for jobs in ("1", "2"):
+        args = ["run", "--scenario", str(path), "--reps", "2", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [expected], jobs
+        assert not (tmp_path / jobs).exists()
 
 
 def test_run_scenario_writes_expected_files(tmp_path):
