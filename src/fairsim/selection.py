@@ -11,7 +11,7 @@ the processes credited since have moved, so the sort merges about two runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Block, ProcessId, SelectionMechanismId
 from .fairness import InsufficientTrace
@@ -156,22 +156,37 @@ def _committees(
     heights: int,
     initial_stakes: Optional[Dict[ProcessId, int]],
     reward_per_member: int,
-) -> Iterator[List[ProcessId]]:
-    """Committees of heights 1..``heights`` of a selection-only run.
-
-    A generator, so long runs never hold every committee at once.
-    """
+) -> Iterator[Tuple[int, List[ProcessId], int]]:
+    """``(height, committee, period)`` for heights 1..``heights`` of a
+    selection-only run, where ``period`` is 0 except once: at a height from
+    which on the committees repeat every ``period`` heights. Sending it a
+    number of heights skips them, which is exact for whole periods."""
     if initial_stakes is None:
         initial_stakes = {pid: 100 for pid in range(population)}
     state = SelectionState(population, n, mech, initial_stakes)
     rank = state.rank
     # each member is credited one selection and ``reward_per_member`` stake
     credit = state.per_selection + reward_per_member * state.per_stake
-    for h in range(1, heights + 1):
+    # A ranked committee depends on the keys alone, and keys that differ by a
+    # common shift give the same committees from then on: Brent's method looks
+    # for that against the keys saved at heights 1, 2, 4, ... With a credit of
+    # at most 0 no member falls behind a non-member: period 1 from height 1.
+    looking = bool(state.per_stake or state.per_selection)
+    saved_at, saved, saved_keys = 0, None, None
+    h = 1
+    while h <= heights:
         committee = state.committee(h)
         for pid in committee:
             rank[pid] += credit
-        yield committee
+        period = 0
+        if looking:
+            if credit <= 0 or (committee == saved and len({a - b for a, b in zip(rank, saved_keys)}) == 1):
+                period = h - saved_at
+            elif h & (h - 1) == 0:
+                saved_at, saved, saved_keys = h, committee, rank[:]
+            looking = not period
+        skip = yield h, committee, period
+        h += 1 + (skip or 0)
 
 
 def run_selection_experiment(
@@ -184,13 +199,32 @@ def run_selection_experiment(
 ) -> SelectionStats:
     """Selection-only run: all processes correct, every committee member is
     credited its reward as soon as the block is produced, so selection at
-    height h sees the stakes implied by heights 1..h-1.
+    height h sees the stakes implied by heights 1..h-1. Once the committees
+    repeat, it tallies one more period, then the whole periods that fit.
     """
     tally = SelectionTally(population)
+    counts, last_selected = tally.counts, tally._last_selected
     run = _committees(population, n, mech, heights, initial_stakes, reward_per_member)
-    for h, committee in enumerate(run, start=1):
+    skip, end = None, 0
+    while True:
+        try:
+            h, committee, found = run.send(skip)
+        except StopIteration:
+            return tally.stats()
         tally.record(h, committee)
-    return tally.stats()
+        skip = None
+        if found:
+            # tally one more period first, for the gaps that span two periods
+            period, since, end = found, counts[:], h + found
+        elif h == end:
+            # each whole period that fits repeats the last one, gaps included
+            times = (heights - h) // period
+            for pid, before in enumerate(since):
+                if counts[pid] > before:
+                    counts[pid] += times * (counts[pid] - before)
+                    last_selected[pid] += times * period
+            skip = times * period
+            tally.heights += skip
 
 
 def selection_committees(
@@ -202,4 +236,4 @@ def selection_committees(
     reward_per_member: int = 1,
 ) -> List[List[ProcessId]]:
     """Same run as ``run_selection_experiment`` but returning the committees."""
-    return list(_committees(population, n, mech, heights, initial_stakes, reward_per_member))
+    return [c for _, c, _ in _committees(population, n, mech, heights, initial_stakes, reward_per_member)]

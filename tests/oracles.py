@@ -3,13 +3,14 @@
 No program path needs them: the engine builds each committee incrementally
 and derives every parent link as it appends, ``fairsim check`` derives the
 links of a stored chain the same way, fairness.json is rendered from
-templates, and a behaviour schedule is kept as the rules its scenario states.
+templates, a behaviour schedule is kept as the rules its scenario states,
+and a selection-only run tallies whole periods once its committees repeat.
 """
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from fairsim.core import GENESIS_HASH, BehaviorKind, Blockchain, ProcessId, SelectionMechanismId, simulated_hash
 from fairsim.fairness import FairnessReport
-from fairsim.selection import SelectionState
+from fairsim.selection import SelectionState, SelectionStats, SelectionTally
 
 
 def select(bc: Blockchain, height: int, mech: SelectionMechanismId) -> List[ProcessId]:
@@ -20,6 +21,28 @@ def select(bc: Blockchain, height: int, mech: SelectionMechanismId) -> List[Proc
     for block in bc.blocks[: height - 1]:
         state.apply_block(block)
     return state.committee(height)
+
+
+def selection_stats(
+    population: int,
+    n: int,
+    mech: SelectionMechanismId,
+    heights: int,
+    initial_stakes: Optional[Dict[ProcessId, int]] = None,
+    reward_per_member: int = 1,
+) -> SelectionStats:
+    """``run_selection_experiment`` simulated and tallied height by height."""
+    if initial_stakes is None:
+        initial_stakes = {pid: 100 for pid in range(population)}
+    state = SelectionState(population, n, mech, initial_stakes)
+    credit = state.per_selection + reward_per_member * state.per_stake
+    tally = SelectionTally(population)
+    for h in range(1, heights + 1):
+        committee = state.committee(h)
+        for pid in committee:
+            state.rank[pid] += credit
+        tally.record(h, committee)
+    return tally.stats()
 
 
 def chain_validate(bc: Blockchain) -> bool:

@@ -11,6 +11,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fairsim.cli
 from fairsim.cli import main as cli_main
 from fairsim.consensus import SimulationEngine
 from fairsim.core import EMPTY_MAPPING, BehaviorKind
@@ -222,6 +223,17 @@ def test_select_all_refusal_through_the_pool_is_one_json_line(tmp_path, capsys):
         assert cli_main(args) == 2
         assert capsys.readouterr().err.splitlines() == [expected], jobs
         assert not (tmp_path / jobs).exists()
+
+
+def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch):
+    """A run that exhausts memory, such as one with a huge max_height, ends
+    as one JSON line and exit 2, not a traceback; str(MemoryError()) is empty."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fairsim.cli, "run_scenario", exhausted)
+    assert cli_main(["run", "--builtin", "goodbad-laggard", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ['{"error": {"field": null, "message": "out of memory"}}']
 
 
 def test_run_scenario_writes_expected_files(tmp_path):

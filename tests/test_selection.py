@@ -1,9 +1,10 @@
 import heapq
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairsim.core import (
     GENESIS_HASH,
@@ -23,7 +24,7 @@ from fairsim.selection import (
     run_selection_experiment,
     selection_committees,
 )
-from oracles import select
+from oracles import select, selection_stats
 
 
 def _block(height, committee, reward_vector):
@@ -248,3 +249,53 @@ def test_lowest_stake_uniform_matches_round_robin_small():
     low = selection_committees(7, 2, S.LOWEST_STAKE, 50)
     rr = selection_committees(7, 2, S.ROUND_ROBIN, 50)
     assert [sorted(c) for c in low] == [sorted(c) for c in rr]
+
+
+@st.composite
+def _selection_run(draw):
+    population = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=population))
+    heights = draw(st.integers(min_value=1, max_value=600))
+    # partial stakes: a missing process and a drawn 0 both start at stake 0
+    pids, amounts = st.integers(min_value=0, max_value=population - 1), st.integers(min_value=0, max_value=39)
+    stakes = draw(st.none() | st.dictionaries(pids, amounts))
+    return population, n, heights, stakes, draw(st.sampled_from([0, 1, 2, 7]))
+
+
+@given(_selection_run())
+# heights shorter than the period (12 for fewest selections here)
+@example((12, 5, 11, {}, 1))
+# lowest stake finds a period of 7 at height 15, tallies it once more, and
+# the 4 whole periods that follow end the run exactly at the jump
+@example((7, 3, 50, {0: 5, 1: 2, 3: 9}, 2))
+@example((6, 6, 100, {0: 3, 2: 0}, 1))
+@example((1, 1, 37, {0: 0}, 7))
+# lowest stake finds a period of 10 at height 42; the longest gaps of
+# processes 2 and 9 (9 heights) span two periods, so only the period tallied
+# after the match records them. Random draws seldom reach such a case.
+@example((10, 1, 182, {0: 7, 1: 18, 2: 2, 3: 33, 4: 4, 5: 38, 6: 5, 7: 22, 8: 29, 9: 2}, 7))
+@settings(max_examples=150, deadline=None)
+def test_selection_experiment_matches_the_per_height_tally(run):
+    population, n, heights, stakes, reward_per_member = run
+    for mech in S:
+        expected = selection_stats(population, n, mech, heights, stakes, reward_per_member)
+        assert run_selection_experiment(population, n, mech, heights, stakes, reward_per_member) == expected, mech
+
+
+def test_a_billion_heights_cost_one_period():
+    ranked = (S.HIGHEST_STAKE, S.LOWEST_STAKE, S.FEWEST_SELECTIONS)
+    start = time.perf_counter()
+    runs = {mech: run_selection_experiment(170, 50, mech, 10**9) for mech in ranked}
+    assert time.perf_counter() - start < 1
+    for mech, stats in runs.items():
+        assert stats.total_heights == 10**9
+        assert sum(stats.counts.values()) == 50 * 10**9, mech
+    for mech in (S.LOWEST_STAKE, S.FEWEST_SELECTIONS):
+        assert max(runs[mech].counts.values()) - min(runs[mech].counts.values()) <= 1, mech
+    top = runs[S.HIGHEST_STAKE]
+    assert [top.counts[pid] for pid in range(170)] == [10**9] * 50 + [0] * 120
+    assert [top.max_gap[pid] for pid in range(50, 170)] == [10**9] * 120
+
+
+def test_selection_experiment_matches_the_per_height_tally_at_criterion_5():
+    assert run_selection_experiment(170, 50, S.LOWEST_STAKE, 10000) == selection_stats(170, 50, S.LOWEST_STAKE, 10000)
