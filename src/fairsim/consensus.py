@@ -18,13 +18,13 @@ h+1's committee, parent link and valid payload (height 1 opens on genesis).
 A GST set by ``gst_height`` follows the handler that decides block
 gst_height - 1.
 
-A process drops its state for height h when it starts h+2, once
-``_on_collect(h)`` and ``_reward_proposal(h+1)`` have read it; a later
-message for h acts only when its payload is bogus, and reads the valid
-payload off block h. The engine drops its record of height h (committee
-and payload) once every process has started h+2, and the rewards a
-proposal fixes for h leave with block h. So engine memory stays flat in
-the run's length, apart from the per-height results it returns and the
+A process drops its slot, accusations and collected decisions for height
+h when it starts h+2, once ``_on_collect(h)`` and ``_reward_proposal(h+1)``
+have read them; a later message for h acts only when its payload is bogus,
+and reads the valid payload off block h. The engine drops its record of h
+once every process has started h+2, and the rewards fixed for h leave with
+block h. So engine memory grows with the run only by what it returns (the
+chain, a reward matrix sharing its vectors, the decision ticks) and by the
 (height, suspect) pairs each process has accused, kept because a bogus
 message for any past height can still be in flight.
 """
@@ -127,7 +127,6 @@ class RunResult(NamedTuple):
     chain: Blockchain
     committees: Dict[int, List[ProcessId]]
     matrix: RewardMatrix
-    to_reward: Mapping[ProcessId, Dict[int, Set[ProcessId]]]
     decided_at: Mapping[ProcessId, Dict[int, SimTime]]
     # one (time, deliver_at, sender, recipient, kind value, height) per copy sent
     trace: Sequence[tuple]
@@ -147,9 +146,9 @@ class _Slot:
 
 
 class _Proc:
-    # slot h and the accusations for h live from the first delivery for h
-    # until the process starts h+2; decided and to_reward (the run's result)
-    # and accused (so a late bogus message is not accused twice) keep every h
+    # slot h, the accusations for h and to_reward[h] live until the process
+    # starts h+2; decided (the run's result) and accused (so a late bogus
+    # message is not accused twice) keep every h
     __slots__ = ("delta", "suspicion", "height", "slots", "decided", "to_reward", "accused")
 
     def __init__(self, delta: int, suspicion: SuspicionState) -> None:
@@ -261,6 +260,7 @@ class SimulationEngine:
         st.height = h
         st.slots.pop(h - 2, None)
         st.suspicion.accusers.pop(h - 2, None)
+        st.to_reward.pop(h - 2, None)
         started = self._started.get(h, 0) + 1
         if started < self.population:
             self._started[h] = started
@@ -474,7 +474,6 @@ class SimulationEngine:
             chain=self.chain,
             committees={b.height: b.committee for b in blocks},
             matrix=matrix,
-            to_reward={pid: st.to_reward for pid, st in self.procs.items()},
             decided_at={pid: st.decided for pid, st in self.procs.items()},
             trace=self.trace,
             finished_at=finished_at,

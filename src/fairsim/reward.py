@@ -25,8 +25,8 @@ class RewardsNotYetAllocated(KeyError):
 class RewardMatrix:
     """Boolean reward parameters r[h][i] plus the allocated amounts.
 
-    A height's row is written exactly once, when the allocating block is
-    appended, and is immutable afterwards.
+    A height's row is written exactly once, from the block that allocates
+    it, and is that block's reward vector itself, shared and read-only.
     """
 
     def __init__(self) -> None:
@@ -38,7 +38,7 @@ class RewardMatrix:
         bad = set(amounts) - set(committee)
         if bad:
             raise ValueError(f"rewarded non-members at height {height}: {sorted(bad)}")
-        self._rows[height] = dict(amounts)
+        self._rows[height] = amounts
 
     def heights(self) -> List[int]:
         return sorted(self._rows)

@@ -5,9 +5,11 @@ and derives every parent link as it appends, ``fairsim check`` derives the
 links of a stored chain the same way, fairness.json is rendered from
 templates, a behaviour schedule is kept as the rules its scenario states,
 and a selection-only run tallies whole periods once its committees repeat.
+``CollectSpy`` keeps what the engine itself drops two heights later.
 """
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
+from fairsim.consensus import SimulationEngine
 from fairsim.core import GENESIS_HASH, BehaviorKind, Blockchain, ProcessId, SelectionMechanismId, simulated_hash
 from fairsim.fairness import FairnessReport
 from fairsim.selection import SelectionState, SelectionStats, SelectionTally
@@ -43,6 +45,21 @@ def selection_stats(
             state.rank[pid] += credit
         tally.record(h, committee)
     return tally.stats()
+
+
+class CollectSpy(SimulationEngine):
+    """The engine, recording ``collected[pid][h]``: the decisions process pid
+    collected for height h, read right after its collect of h. The engine
+    drops them when pid starts h+2, so this sees every process at every
+    height it collected."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.collected: Dict[ProcessId, Dict[int, Set[ProcessId]]] = {pid: {} for pid in self.procs}
+
+    def _on_collect(self, pid, h, t):
+        super()._on_collect(pid, h, t)
+        self.collected[pid][h] = self.procs[pid].to_reward[h]
 
 
 def chain_validate(bc: Blockchain) -> bool:

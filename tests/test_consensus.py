@@ -1,4 +1,6 @@
+import gc
 import pickle
+import tracemalloc
 
 from hypothesis import given, strategies as st
 
@@ -20,8 +22,10 @@ from fairsim.core import (
     TimeoutPolicy,
     chain_to_jsonl,
 )
+from fairsim.harness import parse_scenario
 from fairsim.network import MessageKind, Synchronous
-from oracles import chain_validate
+from fairsim.scenarios import builtin_scenario
+from oracles import CollectSpy, chain_validate
 import pytest
 
 from fairsim.consensus import QuorumImpossible
@@ -73,8 +77,10 @@ def _genesis(reward=RewardMechanismId.SUSPICION_QUORUM, policy=TimeoutPolicy.FIX
     )
 
 
-def _run(behaviors=None, max_height=10, seed=0, reward=RewardMechanismId.SUSPICION_QUORUM, delta=2):
-    engine = SimulationEngine(
+def _engine(behaviors=None, max_height=10, seed=0, reward=RewardMechanismId.SUSPICION_QUORUM, delta=2):
+    """The engine of a synchronous, instant-delivery run of four processes,
+    recording what each process collects at each height."""
+    return CollectSpy(
         specs=_specs(4, behaviors),
         genesis=_genesis(reward),
         model=Synchronous(delay=0),
@@ -82,7 +88,10 @@ def _run(behaviors=None, max_height=10, seed=0, reward=RewardMechanismId.SUSPICI
         seed=seed,
         config=EngineConfig(delta0=delta),
     )
-    return engine.run()
+
+
+def _run(*args, **kwargs):
+    return _engine(*args, **kwargs).run()
 
 
 @pytest.mark.parametrize("delay", [0, 3])
@@ -99,26 +108,29 @@ def test_one_queue_event_per_delivery_tick(delay):
 
 
 def test_single_height_all_correct():
-    res = _run(max_height=1, delta=5)
+    engine = _engine(max_height=1, delta=5)
+    res = engine.run()
     # instant delivery: everyone decides at the starting tick
     assert {pid for pid, ts in res.decided_at.items() if 1 in ts} == {0, 1, 2, 3}
     assert {ts[1] for ts in res.decided_at.values()} == {0}
     for pid in range(4):
-        assert res.to_reward[pid][1] == {0, 1, 2, 3}
+        assert engine.collected[pid][1] == {0, 1, 2, 3}
 
 
 def test_single_height_silent_member():
-    res = _run({3: {1: BehaviorKind.BYZANTINE_SILENT}}, max_height=1, delta=5)
+    engine = _engine({3: {1: BehaviorKind.BYZANTINE_SILENT}}, max_height=1, delta=5)
+    res = engine.run()
     assert {pid for pid, ts in res.decided_at.items() if 1 in ts} == {0, 1, 2, 3}
     for pid in (0, 1, 2):
         # the silent member's decision message never arrives
-        assert res.to_reward[pid][1] == {0, 1, 2}
+        assert engine.collected[pid][1] == {0, 1, 2}
 
 
 def test_single_height_decision_only_still_collected():
-    res = _run({3: {1: BehaviorKind.BYZANTINE_DECISION_ONLY}}, max_height=1, delta=5)
+    engine = _engine({3: {1: BehaviorKind.BYZANTINE_DECISION_ONLY}}, max_height=1, delta=5)
+    engine.run()
     for pid in (0, 1, 2):
-        assert 3 in res.to_reward[pid][1]
+        assert 3 in engine.collected[pid][1]
 
 
 def test_multi_height_chain_is_valid_and_complete():
@@ -223,3 +235,54 @@ def test_live_slots_do_not_grow_with_the_run():
     assert peaks[0] == peaks[1]
     assert 0 < peaks[0][0] <= 3 and 0 < peaks[0][1] <= 3
     assert 0 < peaks[0][2] <= 4 and peaks[0][3] <= 1
+
+
+def _retained_bytes(doc: dict, max_height: int) -> int:
+    """Bytes a run of ``doc`` up to ``max_height`` leaves allocated when it
+    returns, its engine and result alive."""
+    sc = parse_scenario(dict(doc, max_height=max_height))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = SimulationEngine(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
+        result = engine.run()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.chain) == max_height + 1
+    return retained
+
+
+# the wide-committee benchmark workload's shape at seed 1: N=100, n=34
+_WIDE_COMMITTEE = {
+    "schema_version": 1,
+    "name": "wide-committee",
+    "population": {
+        "size": 100,
+        "behaviors": [
+            {"process": 17, "kind": "equivocate", "heights": "odd"},
+            {"process": 72, "kind": "silent", "heights": {"mod": 3, "rem": 0}},
+        ],
+    },
+    "genesis": {"committee_size": 34, "selection": "fewest_selections", "reward": "suspicion_quorum",
+                "timeout_policy": "modulable"},
+    "network": {"model": "eventually_synchronous", "gst_height": 5, "post_gst_bound": 15,
+                "pre_gst_delay_range": [10, 60]},
+    "seed": 1,
+    "engine": {"delta0": 5, "delta_increment": 5, "round_ticks": 400},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, heights, bound",
+    [(builtin_scenario("sync-suspicion-equivocator"), (300, 1200), 1200), (_WIDE_COMMITTEE, (10, 20), 20_000)],
+    ids=["N=4", "N=100"],
+)
+def test_retained_memory_per_height(doc, heights, bound):
+    # what a run keeps per height is its outputs (the chain, the reward
+    # matrix that shares the chain's vectors, the decision ticks) and the
+    # accusations; each process's collected decisions go two heights later
+    h1, h2 = heights
+    per_height = (_retained_bytes(doc, h2) - _retained_bytes(doc, h1)) / (h2 - h1)
+    assert per_height <= bound

@@ -14,7 +14,7 @@ from fairsim.consensus import SimulationEngine, max_byzantine
 from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import parse_scenario, run_scenario
-from oracles import chain_validate
+from oracles import CollectSpy, chain_validate
 
 
 @st.composite
@@ -96,15 +96,22 @@ def test_engine_invariants(doc):
         for block in chain.blocks[1:]:
             committee = chain.block_at(block.height - 1).committee
             assert set(block.reward_vector) <= set(committee), block.height
-        # each process collects decisions from members of the height alone
-        for pid, collected in result.replications[0].result.to_reward.items():
-            for h, senders in collected.items():
-                assert senders <= set(chain.block_at(h).committee), (pid, h)
         # check re-runs the echoed scenario and matches every file the run
         # wrote, the trace included, byte for byte
         files = regrade_output_dir(out)["files"]
         assert sorted(files) == sorted(os.listdir(out))
         assert set(files.values()) == {"matches"}
+    # the same run again, recording what each process collects at every height
+    sc = parse_scenario(doc)
+    spy = CollectSpy(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
+    assert spy.run().chain.blocks == chain.blocks
+    for pid, collected in spy.collected.items():
+        # a process collects each height, in order, before it starts the next
+        assert list(collected) == list(range(1, len(collected) + 1)), pid
+        assert len(collected) >= spy.procs[pid].height - 1, pid
+        # and collects decisions from members of the height alone
+        for h, senders in collected.items():
+            assert senders <= set(chain.block_at(h).committee), (pid, h)
 
 
 @settings(max_examples=30, deadline=None)
@@ -114,7 +121,7 @@ def test_no_state_kept_for_dropped_heights(doc):
     engine = SimulationEngine(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
     engine.run()
     for pid, proc in engine.procs.items():
-        kept = set(proc.slots) | set(proc.suspicion.accusers)
+        kept = set(proc.slots) | set(proc.suspicion.accusers) | set(proc.to_reward)
         assert min(kept, default=proc.height) >= proc.height - 1, (pid, proc.height, sorted(kept))
 
 

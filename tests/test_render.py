@@ -119,7 +119,7 @@ def _replications(draw):
             committee = committees[h] = draw(st.lists(_pids, min_size=1, max_size=6, unique=True))
             amounts = draw(st.dictionaries(st.sampled_from(committee), st.integers(0, 3)))
             matrix.set_row(h, committee, amounts)
-        run = RunResult(Blockchain(_GENESIS), committees, matrix, to_reward={}, decided_at={}, trace=(), finished_at=0)
+        run = RunResult(Blockchain(_GENESIS), committees, matrix, decided_at={}, trace=(), finished_at=0)
         reps.append(ReplicationResult(index, run, report=None))
     return reps
 

@@ -31,6 +31,14 @@ def test_matrix_rows_are_write_once():
         m.set_row(1, [0, 1, 2], {})
 
 
+def test_matrix_row_is_the_vector_it_was_given():
+    # a row shares the block's reward vector rather than copying it
+    amounts = {0: 1, 2: 3}
+    m = RewardMatrix()
+    m.set_row(1, [0, 1, 2], amounts)
+    assert m.row(1) is amounts
+
+
 def test_matrix_rejects_non_member_rewards():
     m = RewardMatrix()
     with pytest.raises(ValueError):
