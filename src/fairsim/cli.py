@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
         return 2
-    except (OSError, KeyError, MemoryError, ValueError) as exc:
+    except (OSError, KeyError, MemoryError, RecursionError, ValueError) as exc:
         message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         print(json.dumps({"error": {"field": None, "message": message}}), file=sys.stderr)
         return 2

@@ -18,13 +18,15 @@ h+1's committee, parent link and valid payload (height 1 opens on genesis).
 A GST set by ``gst_height`` follows the handler that decides block
 gst_height - 1.
 
-A process drops its slot, accusations and collected decisions for height
-h when it starts h+2, once ``_on_collect(h)`` and ``_reward_proposal(h+1)``
-have read them; a later message for h acts only when its payload is bogus,
-and reads the valid payload off block h. The engine drops its record of h
-once every process has started h+2, and the rewards fixed for h leave with
-block h. So engine memory grows with the run only by what it returns (the
-chain, a reward matrix sharing its vectors, the decision ticks) and by the
+A process keeps all it knows of height h in one slot (votes, decisions,
+the accusations delivered for h, what its collect ended with) and drops it
+whole when it starts h+2, once ``_on_collect(h)`` and
+``_reward_proposal(h+1)`` have read it; a later message for h acts only
+when its payload is bogus, and reads the valid payload off block h. The
+engine keeps what it fixes for h (committee, payload, the block's rewards)
+in one record, dropped once every process has started h+2. So engine
+memory grows with the run only by what it returns (the chain, a reward
+matrix sharing its committees and vectors, the decision ticks) and by the
 (height, suspect) pairs each process has accused, kept because a bogus
 message for any past height can still be in flight.
 """
@@ -125,7 +127,6 @@ class EngineConfig(NamedTuple):
 
 class RunResult(NamedTuple):
     chain: Blockchain
-    committees: Dict[int, List[ProcessId]]
     matrix: RewardMatrix
     decided_at: Mapping[ProcessId, Dict[int, SimTime]]
     # one (time, deliver_at, sender, recipient, kind value, height) per copy sent
@@ -134,35 +135,36 @@ class RunResult(NamedTuple):
 
 
 class _Slot:
-    """One process's state for one height."""
+    """One process's state for one height, dropped whole when it starts h+2."""
 
-    __slots__ = ("proposal_seen", "voted", "votes", "deliveries", "heard")
+    __slots__ = ("proposal_seen", "voted", "votes", "deliveries", "heard", "suspicion", "collected")
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
         self.proposal_seen = self.voted = False  # voted: the vote step ran (a vote, an equivocation or nothing)
         self.votes: Set[ProcessId] = set()
         self.deliveries: Set[ProcessId] = set()  # senders of a valid decision
         self.heard: Set[ProcessId] = set()  # every sender; read only under the synchronous model
+        self.suspicion = SuspicionState(n)  # the accusations delivered for this height
+        self.collected = None  # the deliveries its collect ended with: the next proposal's to_reward
 
 
 class _Proc:
-    # slot h, the accusations for h and to_reward[h] live until the process
-    # starts h+2; decided (the run's result) and accused (so a late bogus
-    # message is not accused twice) keep every h
-    __slots__ = ("delta", "suspicion", "height", "slots", "decided", "to_reward", "accused")
+    # slots[h] lives until the process starts h+2; decided (the run's result)
+    # and accused (so a late bogus message is not accused twice) keep every h
+    __slots__ = ("delta", "height", "slots", "decided", "accused")
 
-    def __init__(self, delta: int, suspicion: SuspicionState) -> None:
-        self.delta, self.suspicion, self.height = delta, suspicion, 0
+    def __init__(self, delta: int) -> None:
+        self.delta, self.height = delta, 0
         self.slots: Dict[int, _Slot] = {}
         self.decided: Dict[int, SimTime] = {}
-        self.to_reward: Dict[int, Set[ProcessId]] = {}
         self.accused: Set[Tuple[int, ProcessId]] = set()
 
 
 class _Height:
-    """What is fixed for one height once its parent block is on the chain."""
+    """What its parent block fixes for one height, its block's rewards, and how many processes started it."""
 
-    __slots__ = ("committee", "faulty", "members", "order", "quorum", "evidence", "parent_link", "payload")
+    __slots__ = ("committee", "faulty", "members", "order", "quorum", "evidence", "parent_link", "payload",
+                 "reward", "started")
 
     def __init__(self, h: int, committee: List[ProcessId], parent_link: int, scheduled: Sequence[ProcessSpec]) -> None:
         self.committee = committee
@@ -174,6 +176,7 @@ class _Height:
         self.evidence = evidence_threshold(len(committee))
         self.parent_link = parent_link
         self.payload = payload_for_height(h, parent_link)
+        self.reward, self.started = None, 0  # reward: set by the first correct proposal; height 1's is {}
 
 
 # deterministic bogus payload offsets for equivocating senders
@@ -205,15 +208,12 @@ class SimulationEngine:
         self.n = genesis.n
         self.chain = Blockchain(genesis=genesis)
         self.queue = EventQueue()
-        self.procs = {pid: _Proc(self.config.delta0, SuspicionState(n=self.n)) for pid in range(self.population)}
+        self.procs = {pid: _Proc(self.config.delta0) for pid in range(self.population)}
         self.trace: List[tuple] = []
 
         self._heights: Dict[int, _Height] = {}
-        # height -> processes that have started it, until all of them have
-        self._started: Dict[int, int] = {}
         self._everyone = list(range(self.population))
         self._sel_state = SelectionState(self.population, self.n, genesis.selection, genesis.initial_stakes)
-        self._pending_reward: Dict[int, Dict[ProcessId, int]] = {}
         self._sync_omission = isinstance(model, Synchronous)
         # an eventually synchronous model without a GST tick gets one when
         # block gst_height - 1 is decided (None: no swap due)
@@ -259,17 +259,11 @@ class SimulationEngine:
         st = self.procs[pid]
         st.height = h
         st.slots.pop(h - 2, None)
-        st.suspicion.accusers.pop(h - 2, None)
-        st.to_reward.pop(h - 2, None)
-        started = self._started.get(h, 0) + 1
-        if started < self.population:
-            self._started[h] = started
-        else:
-            # no process reads height h-2 any more; a late message for it
-            # reads its payload off the chain
-            self._started.pop(h, None)
-            self._heights.pop(h - 2, None)
         info = self._heights[h]
+        info.started += 1
+        if info.started == self.population:
+            # no process reads height h-2 any more; a late message for it reads block h-2
+            self._heights.pop(h - 2, None)
         if pid in info.members:
             self._on_round(pid, h, 0, t)
         slot = st.slots.get(h)
@@ -277,11 +271,10 @@ class SimulationEngine:
             self._check_progress(pid, h, info, slot, t)
 
     def _propose(self, pid: ProcessId, h: int, t: SimTime) -> None:
-        # the first correct proposal of a height fixes the rewards its block
-        # carries, until the block is on the chain
-        if len(self.chain) < h and h not in self._pending_reward:
-            self._pending_reward[h] = self._reward_proposal(pid, h)
+        # the first correct proposal of a height fixes the rewards its block carries
         info = self._heights[h]
+        if info.reward is None and len(self.chain) < h:
+            info.reward = self._reward_proposal(pid, h)
         self._send(pid, info.order, _PROPOSE, h, info.payload, t)
 
     def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, t: SimTime) -> None:
@@ -297,12 +290,13 @@ class SimulationEngine:
         prev = h - 1
         if prev < 1:
             return {}
-        st = self.procs[pid]
+        # the proposer has collected prev and not yet started h+1
+        slot = self.procs[pid].slots[prev]
         return allocate(
             mech=self.genesis.reward,
             committee=self._heights[prev].committee,
-            to_reward=st.to_reward[prev],
-            incorrect=st.suspicion.confirmed(prev),
+            to_reward=slot.collected,
+            incorrect=slot.suspicion.confirmed(),
             reward_per_member=self.genesis.reward_per_member,
         )
 
@@ -333,12 +327,12 @@ class SimulationEngine:
             return
         slot = st.slots.get(h)
         if slot is None:
-            slot = st.slots[h] = _Slot()
+            slot = st.slots[h] = _Slot(self.n)
         if self._sync_omission:
             slot.heard.add(msg.sender)
 
         if kind is _SUSPICION:
-            st.suspicion.accuse(h, msg.payload, msg.sender)
+            slot.suspicion.accuse(msg.payload, msg.sender)
             return
 
         # height h opened before anyone could send for it, and its record is
@@ -364,7 +358,8 @@ class SimulationEngine:
             return
         st.accused.add((h, suspect))
         if h >= st.height - 1:
-            st.suspicion.accuse(h, suspect, pid)
+            # a message or a collect for h made the slot
+            st.slots[h].suspicion.accuse(suspect, pid)
         others = [q for q in self._everyone if q != pid]
         self._send(pid, others, _SUSPICION, h, suspect, t)
 
@@ -398,7 +393,7 @@ class SimulationEngine:
 
     def _append_block(self, h: int, info: _Height) -> None:
         """Put block h on the chain and open height h+1, unless h is the run's last block."""
-        block = Block(h, info.committee, self._pending_reward.pop(h), info.payload, info.parent_link)
+        block = Block(h, info.committee, info.reward, info.payload, info.parent_link)
         self.chain.append(block)
         self._sel_state.apply_block(block)
         if h <= self.max_height:
@@ -411,17 +406,16 @@ class SimulationEngine:
         slot = st.slots[h]
         # each decision the slot holds came within the window, which this
         # collect ends, and from a member, since only members send decisions
-        st.to_reward[h] = set(slot.deliveries)
+        slot.collected = set(slot.deliveries)
         if self._sync_omission and pid not in info.faulty:
             # with instant delivery, total silence over a height is a
             # detectable omission
             for q in info.committee:
                 if q != pid and q not in slot.heard:
                     self._suspect(pid, h, q, t)
-        expected = info.members - st.suspicion.confirmed(h)
-        st.delta = update_delta(
-            st.delta, st.to_reward[h], expected, self.genesis.timeout_policy, self.config.delta_increment
-        )
+        expected = info.members - slot.suspicion.confirmed()
+        policy, increment = self.genesis.timeout_policy, self.config.delta_increment
+        st.delta = update_delta(st.delta, slot.collected, expected, policy, increment)
         self.queue.push(t + 1, ("start", pid, h + 1))
 
     # -- main loop ----------------------------------------------------------
@@ -472,7 +466,6 @@ class SimulationEngine:
             matrix.set_row(block.height, block.committee, carrier.reward_vector)
         return RunResult(
             chain=self.chain,
-            committees={b.height: b.committee for b in blocks},
             matrix=matrix,
             decided_at={pid: st.decided for pid, st in self.procs.items()},
             trace=self.trace,

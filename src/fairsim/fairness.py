@@ -133,19 +133,18 @@ def classify(
 
 def build_report(
     matrix: RewardMatrix,
-    committees: Dict[int, List[ProcessId]],
     truth: GroundTruth,
     stabilization_window: int,
     static_complete: bool = False,
     static_accurate: bool = False,
 ) -> FairnessReport:
-    """Grade every allocated height and classify the run."""
+    """Grade every allocated height of ``matrix`` against its committee and classify the run."""
     grades: Dict[int, HeightGrade] = {}
     witnesses: List[Tuple[int, ProcessId, str]] = []
     for h in matrix.heights():
         # one read of the height's row
         rewarded = matrix.rewarded(h)
-        committee = committees[h]
+        committee = matrix.committee(h)
         members = set(committee)
         faulty = truth.faulty(h)
         grade = grades[h] = _grade(rewarded, members, faulty)

@@ -120,6 +120,8 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}")
     _known(doc, "", _DOCUMENT_FIELDS)
     name = doc.get("name", "scenario")
+    if type(name) is not str:
+        raise ScenarioError("name", "must be a string")
     max_height = _int(_require(doc, "max_height", ""), "max_height", lo=1)
 
     pop = _known(_require(doc, "population", ""), "population", ("size", "merits", "stakes", "behaviors"))
@@ -337,11 +339,10 @@ def static_fairness_flags(mech: RewardMechanismId) -> tuple:
     )
 
 
-def grade(scenario: Scenario, matrix: RewardMatrix, committees: Dict[int, List[ProcessId]]) -> FairnessReport:
+def grade(scenario: Scenario, matrix: RewardMatrix) -> FairnessReport:
     static_complete, static_accurate = static_fairness_flags(scenario.genesis.reward)
     return build_report(
         matrix=matrix,
-        committees=committees,
         truth=GroundTruth.from_specs(scenario.specs),
         stabilization_window=scenario.window,
         static_complete=static_complete,
@@ -360,7 +361,7 @@ def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) ->
         record_trace=record_trace,
     )
     result = engine.run()
-    return ReplicationResult(index=rep, result=result, report=grade(scenario, result.matrix, result.committees))
+    return ReplicationResult(index=rep, result=result, report=grade(scenario, result.matrix))
 
 
 def _run_rep_task(args) -> ReplicationResult:
@@ -416,7 +417,7 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
         rep_means: List[float] = []
         for rr in reps:
             row = rr.result.matrix.row(h)
-            values = [1 if row.get(pid, 0) > 0 else 0 for pid in rr.result.committees[h]]
+            values = [1 if row.get(pid, 0) > 0 else 0 for pid in rr.result.matrix.committee(h)]
             samples.extend(values)
             rep_means.append(sum(values) / len(values))
         mean = sum(samples) / len(samples)
@@ -456,11 +457,11 @@ def _atomic_write(path: str, data: str) -> None:
 def _rewards_csv(reps: Sequence[ReplicationResult]) -> str:
     out = ["replication,height,process_id,r,amount\r\n"]
     for rr in reps:
-        matrix, committees = rr.result.matrix, rr.result.committees
+        matrix = rr.result.matrix
         for h in matrix.heights():
             row = matrix.row(h)
             prefix = f"{rr.index},{h},"
-            for pid in committees[h]:
+            for pid in matrix.committee(h):
                 amount = row.get(pid, 0)
                 out.append(f"{prefix}{pid},{1 if amount > 0 else 0},{amount}\r\n")
     return "".join(out)
@@ -501,10 +502,9 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     yield "rewards.csv", _rewards_csv(reps)
 
     tally = SelectionTally(scenario.genesis.population)
-    committees = reps[0].result.committees
-    for h in sorted(committees):
-        if h <= scenario.max_height:
-            tally.record(h, committees[h])
+    matrix = reps[0].result.matrix
+    for h in matrix.heights():
+        tally.record(h, matrix.committee(h))
     yield "selection.csv", selection_csv(tally.stats(), {s.id: s.merit for s in scenario.specs})
 
     yield "fairness.json", fairness_json(scenario.window, [(rr.index, rr.report) for rr in reps])
@@ -587,5 +587,5 @@ def _read(out_dir: str, name: str, required: bool = False) -> Optional[bytes]:
 def _json_or_none(data: bytes):
     try:
         return json.loads(data)
-    except ValueError:
+    except (RecursionError, ValueError):  # a document nested past the recursion limit is not read
         return None

@@ -25,12 +25,13 @@ class RewardsNotYetAllocated(KeyError):
 class RewardMatrix:
     """Boolean reward parameters r[h][i] plus the allocated amounts.
 
-    A height's row is written exactly once, from the block that allocates
-    it, and is that block's reward vector itself, shared and read-only.
+    A height's row is written exactly once and is (the committee, the vector):
+    block h's committee and block h+1's reward vector, the chain's own objects.
     """
 
     def __init__(self) -> None:
         self._rows: Dict[int, Dict[ProcessId, int]] = {}
+        self._committees: Dict[int, Sequence[ProcessId]] = {}
 
     def set_row(self, height: int, committee: Sequence[ProcessId], amounts: Dict[ProcessId, int]) -> None:
         if height in self._rows:
@@ -39,6 +40,7 @@ class RewardMatrix:
         if bad:
             raise ValueError(f"rewarded non-members at height {height}: {sorted(bad)}")
         self._rows[height] = amounts
+        self._committees[height] = committee
 
     def heights(self) -> List[int]:
         return sorted(self._rows)
@@ -51,6 +53,10 @@ class RewardMatrix:
         except KeyError:
             raise RewardsNotYetAllocated(height) from None
 
+    def committee(self, height: int) -> Sequence[ProcessId]:
+        """The committee of an allocated ``height``, in its block's order. Read it, do not change it."""
+        return self._committees[height]
+
     def amount(self, height: int, pid: ProcessId) -> int:
         return self.row(height).get(pid, 0)
 
@@ -62,19 +68,19 @@ class RewardMatrix:
 
 
 class SuspicionState:
-    """Accusations delivered to one process: height -> suspect -> accusers."""
+    """Accusations delivered to one process for one height: suspect -> accusers."""
 
     __slots__ = ("n", "accusers")
 
     def __init__(self, n: int) -> None:
         self.n, self.accusers = n, {}
 
-    def accuse(self, height: int, suspect: ProcessId, accuser: ProcessId) -> None:
-        self.accusers.setdefault(height, {}).setdefault(suspect, set()).add(accuser)
+    def accuse(self, suspect: ProcessId, accuser: ProcessId) -> None:
+        self.accusers.setdefault(suspect, set()).add(accuser)
 
-    def confirmed(self, height: int) -> Set[ProcessId]:
+    def confirmed(self) -> Set[ProcessId]:
         quorum = suspicion_quorum(self.n)
-        return {suspect for suspect, accs in self.accusers.get(height, {}).items() if len(accs) >= quorum}
+        return {suspect for suspect, accs in self.accusers.items() if len(accs) >= quorum}
 
 
 def allocate(

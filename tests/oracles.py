@@ -59,7 +59,7 @@ class CollectSpy(SimulationEngine):
 
     def _on_collect(self, pid, h, t):
         super()._on_collect(pid, h, t)
-        self.collected[pid][h] = self.procs[pid].to_reward[h]
+        self.collected[pid][h] = self.procs[pid].slots[h].collected
 
 
 def chain_validate(bc: Blockchain) -> bool:

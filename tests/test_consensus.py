@@ -200,18 +200,16 @@ def test_never_reward_produces_empty_vectors():
 
 
 class _PeakSlots(SimulationEngine):
-    """Records the most slots and accusation heights one process holds at
-    once, and the most height records and pending rewards the engine holds."""
+    """Records the most slots one process holds at once (each with its
+    height's accusations and collected decisions), and the most height
+    records the engine holds (each with its block's rewards)."""
 
-    peak_slots = peak_accusers = peak_heights = peak_pending = 0
+    peak_slots = peak_heights = 0
 
     def _on_msg(self, msg, pid, t):
         super()._on_msg(msg, pid, t)
-        st = self.procs[pid]
-        self.peak_slots = max(self.peak_slots, len(st.slots))
-        self.peak_accusers = max(self.peak_accusers, len(st.suspicion.accusers))
+        self.peak_slots = max(self.peak_slots, len(self.procs[pid].slots))
         self.peak_heights = max(self.peak_heights, len(self._heights))
-        self.peak_pending = max(self.peak_pending, len(self._pending_reward))
 
 
 def test_live_slots_do_not_grow_with_the_run():
@@ -229,12 +227,11 @@ def test_live_slots_do_not_grow_with_the_run():
             config=EngineConfig(delta0=2, delta_increment=2),
         )
         assert len(engine.run().chain) == max_height + 1
-        peaks.append((engine.peak_slots, engine.peak_accusers, engine.peak_heights, engine.peak_pending))
+        peaks.append((engine.peak_slots, engine.peak_heights))
         # height 1's record is dropped once every process has started height 3
         assert 1 not in engine._heights
     assert peaks[0] == peaks[1]
-    assert 0 < peaks[0][0] <= 3 and 0 < peaks[0][1] <= 3
-    assert 0 < peaks[0][2] <= 4 and peaks[0][3] <= 1
+    assert 0 < peaks[0][0] <= 3 and 0 < peaks[0][1] <= 4
 
 
 def _retained_bytes(doc: dict, max_height: int) -> int:

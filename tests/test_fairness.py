@@ -129,7 +129,6 @@ def test_build_report_witnesses():
     m.set_row(2, [0, 1, 2], {0: 1, 2: 1})
     report = build_report(
         matrix=m,
-        committees={1: [0, 1, 2], 2: [0, 1, 2]},
         truth=_truth({2: [2]}),
         stabilization_window=1,
     )

@@ -114,12 +114,12 @@ def _replications(draw):
     """Replications of random reward matrices over random committees."""
     reps = []
     for index in range(draw(st.integers(1, 3))):
-        matrix, committees = RewardMatrix(), {}
+        matrix = RewardMatrix()
         for h in range(1, draw(st.integers(1, 6)) + 1):
-            committee = committees[h] = draw(st.lists(_pids, min_size=1, max_size=6, unique=True))
+            committee = draw(st.lists(_pids, min_size=1, max_size=6, unique=True))
             amounts = draw(st.dictionaries(st.sampled_from(committee), st.integers(0, 3)))
             matrix.set_row(h, committee, amounts)
-        run = RunResult(Blockchain(_GENESIS), committees, matrix, decided_at={}, trace=(), finished_at=0)
+        run = RunResult(Blockchain(_GENESIS), matrix, decided_at={}, trace=(), finished_at=0)
         reps.append(ReplicationResult(index, run, report=None))
     return reps
 
@@ -130,7 +130,7 @@ def test_rewards_csv_is_csv_writer(reps):
     rows = [["replication", "height", "process_id", "r", "amount"]]
     for rr in reps:
         for h in rr.result.matrix.heights():
-            for pid in rr.result.committees[h]:
+            for pid in rr.result.matrix.committee(h):
                 rows.append([rr.index, h, pid, rr.result.matrix.r(h, pid), rr.result.matrix.amount(h, pid)])
     assert _rewards_csv(reps) == _csv(rows)
 

@@ -60,14 +60,14 @@ def test_matrix_rewarded_set():
 
 def test_suspicion_state_confirmation_threshold():
     s = SuspicionState(n=4)  # quorum 3
-    s.accuse(5, suspect=2, accuser=0)
-    s.accuse(5, suspect=2, accuser=1)
-    assert s.confirmed(5) == set()
-    s.accuse(5, suspect=2, accuser=1)  # duplicate accuser does not count twice
-    assert s.confirmed(5) == set()
-    s.accuse(5, suspect=2, accuser=3)
-    assert s.confirmed(5) == {2}
-    assert s.confirmed(6) == set()
+    s.accuse(suspect=2, accuser=0)
+    s.accuse(suspect=2, accuser=1)
+    assert s.confirmed() == set()
+    s.accuse(suspect=2, accuser=1)  # duplicate accuser does not count twice
+    assert s.confirmed() == set()
+    s.accuse(suspect=2, accuser=3)
+    assert s.confirmed() == {2}
+    assert SuspicionState(n=4).confirmed() == set()
 
 
 def _alloc(mech, to_reward, incorrect=frozenset()):
@@ -100,15 +100,16 @@ def test_allocate_suspicion_subtracts_confirmed():
 
 
 def test_suspicion_state_confirmed_is_per_height():
-    s = SuspicionState(n=4)  # quorum 3
+    # one state per height, as the engine keeps one in each height's slot
+    s = {h: SuspicionState(n=4) for h in (1, 2, 3, 4)}  # quorum 3
     for accuser in (0, 1, 3):
-        s.accuse(2, suspect=1, accuser=accuser)  # confirmed at height 2
-        s.accuse(3, suspect=2, accuser=accuser)  # confirmed at height 3
-    s.accuse(3, suspect=0, accuser=1)
-    s.accuse(3, suspect=0, accuser=2)  # one accuser short at height 3
+        s[2].accuse(suspect=1, accuser=accuser)  # confirmed at height 2
+        s[3].accuse(suspect=2, accuser=accuser)  # confirmed at height 3
+    s[3].accuse(suspect=0, accuser=1)
+    s[3].accuse(suspect=0, accuser=2)  # one accuser short at height 3
     for accuser in (0, 2, 3):
-        s.accuse(4, suspect=0, accuser=accuser)  # confirmed at height 4
-    assert s.confirmed(2) == {1}
-    assert s.confirmed(3) == {2}
-    assert s.confirmed(4) == {0}
-    assert s.confirmed(1) == set()
+        s[4].accuse(suspect=0, accuser=accuser)  # confirmed at height 4
+    assert s[2].confirmed() == {1}
+    assert s[3].confirmed() == {2}
+    assert s[4].confirmed() == {0}
+    assert s[1].confirmed() == set()
