@@ -29,6 +29,12 @@ memory grows with the run only by what it returns (the chain, a reward
 matrix sharing its committees and vectors, the decision ticks) and by the
 (height, suspect) pairs each process has accused, kept because a bogus
 message for any past height can still be in flight.
+
+A block reuses the committee or reward vector of one of the two blocks
+before it when they are equal (``==``): a ``select_all`` committee never
+changes, and an even/odd fault schedule repeats the vector every other
+height. So blocks share these objects, and every reader treats them as
+read-only.
 """
 from __future__ import annotations
 
@@ -392,8 +398,17 @@ class SimulationEngine:
             self.model, self._gst_block = self.model._replace(gst=t), None
 
     def _append_block(self, h: int, info: _Height) -> None:
-        """Put block h on the chain and open height h+1, unless h is the run's last block."""
-        block = Block(h, info.committee, info.reward, info.payload, info.parent_link)
+        """Put block h on the chain and open height h+1, unless h is the run's last block.
+
+        A committee or reward vector equal to one of the two blocks before it
+        is that block's object, so a chain that repeats them keeps each once."""
+        committee, reward = info.committee, info.reward
+        for prev in self.chain.blocks[-2:]:
+            if prev.committee == committee:
+                committee = prev.committee
+            if prev.reward_vector == reward:
+                reward = prev.reward_vector
+        block = Block(h, committee, reward, info.payload, info.parent_link)
         self.chain.append(block)
         self._sel_state.apply_block(block)
         if h <= self.max_height:

@@ -7,6 +7,7 @@ height iff it was scheduled correct there.
 """
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -59,10 +60,14 @@ def grade_height(
     return _grade(matrix.rewarded(height), set(committee), truth.faulty(height))
 
 
+#: the eight grades, each one shared tuple, so a long run's grades cost a pointer per height
+_GRADES = {grade: grade for grade in itertools.product((False, True), repeat=3)}
+
+
 def _grade(rewarded: Set[ProcessId], members: Set[ProcessId], faulty: FrozenSet[ProcessId]) -> HeightGrade:
     # cond1: no non-member is rewarded; completeness: every member that
     # followed the protocol is; accuracy: no member that did not is
-    return rewarded <= members, members - faulty <= rewarded, rewarded.isdisjoint(members & faulty)
+    return _GRADES[rewarded <= members, members - faulty <= rewarded, rewarded.isdisjoint(members & faulty)]
 
 
 class Classification(Enum):
@@ -178,9 +183,7 @@ _GRADE_TEXT = {
         f'{{\n          "accuracy": {_JSON_BOOL[accurate]},\n          "completeness": {_JSON_BOOL[complete]},'
         f'\n          "cond1": {_JSON_BOOL[cond1]}\n        }}'
     )
-    for cond1 in (False, True)
-    for complete in (False, True)
-    for accurate in (False, True)
+    for cond1, complete, accurate in _GRADES
 }
 
 

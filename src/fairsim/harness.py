@@ -48,6 +48,10 @@ SCHEMA_VERSION = 1
 _DOCUMENT_FIELDS = ("schema_version", "name", "max_height", "population", "genesis", "network", "engine", "analyzer",
                     "seed", "replications")
 _GENESIS_FIELDS = ("committee_size", "selection", "reward", "timeout_policy", "reward_per_member")
+# the parser builds per-process tables, whose time and memory grow with the
+# size: 10^5 parses in a third of a second, 10^9 would take an hour and
+# hundreds of GB, so a larger population is refused at once
+MAX_POPULATION = 100_000
 
 
 class Scenario(NamedTuple):
@@ -125,7 +129,7 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     max_height = _int(_require(doc, "max_height", ""), "max_height", lo=1)
 
     pop = _known(_require(doc, "population", ""), "population", ("size", "merits", "stakes", "behaviors"))
-    size = _int(_require(pop, "size", "population"), "population.size", lo=1)
+    size = _int(_require(pop, "size", "population"), "population.size", 1, MAX_POPULATION)
 
     merits_doc = pop.get("merits")
     if merits_doc is None:

@@ -27,6 +27,8 @@ class RewardMatrix:
 
     A height's row is written exactly once and is (the committee, the vector):
     block h's committee and block h+1's reward vector, the chain's own objects.
+    A block reuses an equal committee or vector of the two blocks before it,
+    so several rows can share one object: read them, never change them.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ from fairsim.consensus import SimulationEngine
 from fairsim.core import EMPTY_MAPPING, BehaviorKind
 from fairsim.fairness import GroundTruth
 from fairsim.harness import regrade_output_dir
-from fairsim.harness import ScenarioError, parse_scenario, run_scenario
+from fairsim.harness import MAX_POPULATION, ScenarioError, parse_scenario, run_scenario
 from fairsim.network import MessageKind
 from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
 from oracles import expanded_schedule
@@ -52,6 +52,16 @@ def test_parse_rejects_bad_schema_version():
 def test_parse_rejects_missing_population_size():
     doc = _doc()
     del doc["population"]["size"]
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert exc.value.path == "population.size"
+
+
+@pytest.mark.parametrize("size", [MAX_POPULATION + 1, 10**9, 2**63])
+def test_parse_refuses_a_population_above_the_bound(size):
+    # refused before any per-process table is built, so it costs nothing
+    doc = _doc()
+    doc["population"]["size"] = size
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "population.size"

@@ -22,11 +22,6 @@ from fairsim.scenarios import BUILTIN, builtin_scenario
 
 _SWAPS = [None, True, False, "", "x", 1.5, float("inf"), float("nan"), -1, [], {}, [1], {"a": 1}, [None]]
 _EXTREMES = [0, -1, 2**31 - 1, 2**63, -(2**63), 10**30]
-# the parser builds a per-process table, so a huge population only costs
-# memory; only the values it must reject are tried there. A behaviour keeps
-# its heights as a range, so max_height takes every extreme.
-_SIZE_PATHS = {("population", "size")}
-_SIZE_EXTREMES = [0, -1, -(2**63)]
 # the mappings from process-id keys, and the network model that reads each
 _PER_PROCESS = {("population", "stakes"): None, ("network", "laggards"): "good_bad"}
 
@@ -83,7 +78,7 @@ def _mutate(data, doc):
         # of _SWAPS and with them what Hypothesis replays for this draw
         parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
     elif kind == "extreme":
-        parent[path[-1]] = data.draw(st.sampled_from(_SIZE_EXTREMES if path in _SIZE_PATHS else _EXTREMES))
+        parent[path[-1]] = data.draw(st.sampled_from(_EXTREMES))
     else:
         value = parent[path[-1]]
         parent[path[-1]] = data.draw(st.sampled_from([[value], {"value": value}]))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairsim.consensus import SimulationEngine, max_byzantine
 from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy
+from fairsim.fairness import _GRADES
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import parse_scenario, run_scenario
 from oracles import CollectSpy, chain_validate
@@ -102,6 +103,16 @@ def test_engine_invariants(doc):
         for h in matrix.heights():
             assert matrix.committee(h) is chain.block_at(h).committee, h
             assert matrix.row(h) is chain.block_at(h + 1).reward_vector, h
+        # a committee or vector equal to one of the two blocks before it is that block's object
+        for i, block in enumerate(chain.blocks):
+            for prev in chain.blocks[max(i - 2, 0):i]:
+                if block.committee == prev.committee:
+                    assert block.committee is prev.committee, block.height
+                if block.reward_vector == prev.reward_vector:
+                    assert block.reward_vector is prev.reward_vector, block.height
+        # every grade is one of the eight shared tuples
+        for h, grade in result.replications[0].report.grades.items():
+            assert grade is _GRADES[grade], h
         # check re-runs the echoed scenario and matches every file the run
         # wrote, the trace included, byte for byte
         files = regrade_output_dir(out)["files"]
