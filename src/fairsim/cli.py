@@ -20,7 +20,7 @@ import os
 import sys
 
 from .harness import ScenarioError, _atomic_write, parse_scenario, regrade_output_dir, run_scenario, selection_csv
-from .harness import _CHECK
+from .harness import _CHECK, _FIGURE, _SELECTION
 from .core import SelectionMechanismId, uniform_merits
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment
@@ -79,7 +79,7 @@ def _cmd_figure(args) -> int:
         mech, population, n, heights = _SELECTION_FIGURES[args.name]
         stats = run_selection_experiment(population, n, mech, heights)
         os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, "selection.csv"), selection_csv(stats, uniform_merits(population)))
+        _atomic_write(os.path.join(args.out, _SELECTION), selection_csv(stats, uniform_merits(population)))
         print(f"{args.name}: selection counts over {heights} heights written to {args.out}")
         return 0
     if args.name == "ev-sync-rewards":
@@ -88,7 +88,7 @@ def _cmd_figure(args) -> int:
         lines = ["height,mean,mean_minus_std,mean_plus_std\r\n"]
         for h, (mean, std_all, _) in sorted(result.aggregate.items()):
             lines.append(f"{h},{mean!r},{mean - std_all!r},{mean + std_all!r}\r\n")
-        _atomic_write(os.path.join(args.out, "figure.csv"), "".join(lines))
+        _atomic_write(os.path.join(args.out, _FIGURE), "".join(lines))
         print(f"ev-sync-rewards: {scenario.replications} replications written to {args.out}")
         return 0
     known = sorted(_SELECTION_FIGURES) + ["ev-sync-rewards"]
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
         return 2
-    except (OSError, KeyError, MemoryError, RecursionError, ValueError) as exc:
+    except (OSError, MemoryError, RecursionError, ValueError) as exc:
         message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         print(json.dumps({"error": {"field": None, "message": message}}), file=sys.stderr)
         return 2

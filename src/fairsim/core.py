@@ -48,6 +48,7 @@ class BehaviorKind(Enum):
 
 
 EMPTY_MAPPING: Mapping = MappingProxyType({})  # a mapping field's default, shared by every instance
+DEFAULT_STAKE = 100  # the initial stake of every process when a scenario gives none
 
 
 class SelectionMechanismId(Enum):

@@ -29,6 +29,7 @@ from .core import (
     EMPTY_MAPPING,
     BehaviorKind,
     BehaviorRules,
+    DEFAULT_STAKE,
     GenesisConfig,
     ProcessId,
     ProcessSpec,
@@ -37,6 +38,7 @@ from .core import (
     SelectionMechanismId,
     TimeoutPolicy,
     chain_to_jsonl,
+    uniform_merits,
 )
 from .fairness import FairnessReport, GroundTruth, build_report, fairness_json
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
@@ -133,7 +135,7 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
 
     merits_doc = pop.get("merits")
     if merits_doc is None:
-        merits = {pid: Fraction(1, size) for pid in range(size)}
+        merits = uniform_merits(size)
     else:
         if not (
             isinstance(merits_doc, list)
@@ -145,7 +147,7 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         if sum(merits.values()) != 1:
             raise ScenarioError("population.merits", "merits must sum to 1")
 
-    stakes_doc = pop.get("stakes", 100)
+    stakes_doc = pop.get("stakes", DEFAULT_STAKE)
     if isinstance(stakes_doc, dict):
         stakes = _per_process(stakes_doc, "population.stakes", size)
     elif type(stakes_doc) is int and stakes_doc >= 0:
@@ -163,16 +165,17 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         path = f"population.behaviors[{i}]"
         _known(b, path, ("process", "kind", "heights"))
         pid = _int(_require(b, "process", path), f"{path}.process", 0, size - 1)
-        kind = _enum(BehaviorKind, b, "kind", path)
+        kind = _enum(BehaviorKind, _require(b, "kind", path), f"{path}.kind")
         heights = _heights_matching(_require(b, "heights", path), max_height, f"{path}.heights")
         if heights:
             rules.setdefault(pid, []).append((kind, heights))
 
     gen = _known(_require(doc, "genesis", ""), "genesis", _GENESIS_FIELDS)
     n = _int(_require(gen, "committee_size", "genesis"), "genesis.committee_size", 1, size)
-    selection = _enum(SelectionMechanismId, gen, "selection", "genesis")
-    reward = _enum(RewardMechanismId, gen, "reward", "genesis")
-    policy = _enum(TimeoutPolicy, gen, "timeout_policy", "genesis", "fixed")
+    selection = _enum(SelectionMechanismId, _require(gen, "selection", "genesis"), "genesis.selection")
+    reward = _enum(RewardMechanismId, _require(gen, "reward", "genesis"), "genesis.reward")
+    defaults = GenesisConfig._field_defaults
+    policy = _enum(TimeoutPolicy, gen.get("timeout_policy", defaults["timeout_policy"]), "genesis.timeout_policy")
     if selection is SelectionMechanismId.SELECT_ALL and n != size:
         raise ScenarioError("genesis.selection", "select_all requires committee_size == population.size")
 
@@ -183,20 +186,20 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         reward=reward,
         timeout_policy=policy,
         initial_stakes=stakes,
-        reward_per_member=_ticks(gen, "reward_per_member", "genesis", 1),
+        reward_per_member=_int(
+            gen.get("reward_per_member", defaults["reward_per_member"]), "genesis.reward_per_member", lo=0
+        ),
     )
 
-    net = _require(doc, "network", "")
-    model = _parse_network(net, size)
-    _known(net, "network", ("model", *type(model)._fields))
+    model = _parse_network(_require(doc, "network", ""), size)
 
+    # a field left out keeps EngineConfig's default; a round timer of 0
+    # re-arms at the same tick forever
     eng = _known(doc.get("engine", {}), "engine", EngineConfig._fields)
-    engine = EngineConfig(
-        delta0=_ticks(eng, "delta0", "engine", 5),
-        delta_increment=_ticks(eng, "delta_increment", "engine", 5),
-        # a round timer of 0 re-arms at the same tick forever
-        round_ticks=_int(eng.get("round_ticks", 100), "engine.round_ticks", lo=1),
-    )
+    engine = EngineConfig(**{
+        key: _int(eng[key], f"engine.{key}", lo=1 if key == "round_ticks" else 0)
+        for key in EngineConfig._fields if key in eng
+    })
 
     ana = _known(doc.get("analyzer", {}), "analyzer", ("stabilization_window",))
     window = _int(
@@ -222,9 +225,6 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     )
 
 
-_REQUIRED = object()
-
-
 def _int(value, path: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
     """``value`` when it is an integer in ``[lo, hi]``; a bound left out is open."""
     if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
@@ -238,22 +238,12 @@ def _int(value, path: str, lo: Optional[int] = None, hi: Optional[int] = None) -
     raise ScenarioError(path, f"must be {want}, got {value!r}")
 
 
-def _enum(cls, obj: dict, key: str, path: str, default=_REQUIRED):
-    """The ``cls`` member whose value is ``obj[key]``, or ``default``'s when it is absent."""
+def _enum(cls, value, path: str):
+    """The ``cls`` member whose value is ``value``."""
     try:
-        return cls(_require(obj, key, path) if default is _REQUIRED else obj.get(key, default))
+        return cls(value)
     except ValueError as exc:
-        raise ScenarioError(f"{path}.{key}", str(exc)) from None
-
-
-def _ticks(obj: dict, key: str, path: str = "network", default=_REQUIRED) -> Optional[int]:
-    """The non-negative integer ``obj[key]``, or ``default`` when it is absent.
-
-    Without a ``default`` the field is required.
-    """
-    if key not in obj and default is not _REQUIRED:
-        return default
-    return _int(_require(obj, key, path), f"{path}.{key}", lo=0)
+        raise ScenarioError(path, str(exc)) from None
 
 
 def _per_process(obj: dict, path: str, size: int) -> Dict[ProcessId, int]:
@@ -261,63 +251,61 @@ def _per_process(obj: dict, path: str, size: int) -> Dict[ProcessId, int]:
     if not isinstance(obj, dict):
         raise ScenarioError(path, "must be a {process id: non-negative integer} mapping")
     out = {}
-    for key in obj:
+    for key, value in obj.items():
         # only str(pid) names process pid, so no two keys name one process
         pid = int(key) if type(key) is str and key.isdecimal() and len(key) <= len(str(size)) else size
         if pid >= size or str(pid) != key:
             raise ScenarioError(path, f"{key!r} is not a process id in [0, {size}) written as str(id)")
-        out[pid] = _ticks(obj, key, path)
+        out[pid] = _int(value, f"{path}.{key}", lo=0)
     return out
 
 
-def _delay_range(net: dict, key: str, default: Optional[list] = None) -> tuple:
-    value = _require(net, key, "network") if default is None else net.get(key, default)
+def _delay_range(value, path: str) -> tuple:
     if not (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(type(v) is int for v in value)
         and 0 <= value[0] <= value[1]
     ):
-        raise ScenarioError(f"network.{key}", "must be [lo, hi] with integers 0 <= lo <= hi")
+        raise ScenarioError(path, "must be [lo, hi] with integers 0 <= lo <= hi")
     return tuple(value)
 
 
+_MODELS = {
+    "synchronous": Synchronous,
+    "good_bad": GoodBad,
+    "eventually_synchronous": EventuallySynchronous,
+    "asynchronous": Asynchronous,
+}
+
+
 def _parse_network(net: dict, size: int):
+    """The model record ``net`` names. Its fields are the record's: one left
+    out keeps the record's default, and one without a default is required."""
     kind = _require(net, "model", "network")
-    if kind == "synchronous":
-        return Synchronous(delay=_ticks(net, "delay", default=0))
-    if kind == "good_bad":
-        good_len, bad_len = _ticks(net, "good_len"), _ticks(net, "bad_len")
-        if good_len + bad_len == 0:
-            raise ScenarioError("network.bad_len", "good_len + bad_len must be positive")
-        return GoodBad(
-            good_len=good_len,
-            bad_len=bad_len,
-            good_delay_bound=_ticks(net, "good_delay_bound"),
-            bad_delay_range=_delay_range(net, "bad_delay_range"),
-            laggards=_per_process(net.get("laggards", {}), "network.laggards", size),
-        )
-    if kind == "eventually_synchronous":
-        gst = _ticks(net, "gst", default=None)
-        gst_height = _ticks(net, "gst_height", default=None)
-        if gst is None and gst_height is None:
+    cls = _MODELS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ScenarioError("network.model", f"unknown model {kind!r}")
+    _known(net, "network", ("model", *cls._fields))
+    fields = {}
+    for key in cls._fields:
+        if key in net or key not in cls._field_defaults:
+            value, path = _require(net, key, "network"), f"network.{key}"
+            if key.endswith("_range"):
+                fields[key] = _delay_range(value, path)
+            elif key == "laggards":
+                fields[key] = _per_process(value, path, size)
+            else:
+                fields[key] = _int(value, path, lo=0)
+    model = cls(**fields)
+    if cls is GoodBad and model.good_len + model.bad_len == 0:
+        raise ScenarioError("network.bad_len", "good_len + bad_len must be positive")
+    if cls is EventuallySynchronous:
+        if model.gst is None and model.gst_height is None:
             raise ScenarioError("network", "eventually_synchronous needs gst or gst_height")
-        if gst is not None and gst_height is not None:
+        if model.gst is not None and model.gst_height is not None:
             raise ScenarioError("network.gst_height", "give gst or gst_height, not both")
-        return EventuallySynchronous(
-            post_gst_bound=_ticks(net, "post_gst_bound"),
-            pre_gst_delay_range=_delay_range(net, "pre_gst_delay_range"),
-            gst=gst,
-            gst_height=gst_height,
-        )
-    if kind == "asynchronous":
-        return Asynchronous(
-            base_delay_range=_delay_range(net, "base_delay_range", [0, 3]),
-            burst_every_heights=_ticks(net, "burst_every_heights", default=8),
-            burst_initial=_ticks(net, "burst_initial", default=50),
-            burst_growth=_ticks(net, "burst_growth", default=2),
-        )
-    raise ScenarioError("network.model", f"unknown model {kind!r}")
+    return model
 
 
 # -- running -----------------------------------------------------------------
@@ -441,6 +429,9 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
 
 # chain and trace names take the replication index; _CHECK is the summary fairsim check writes
 _ECHO, _CHAIN, _TRACE, _CHECK = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl", "fairness-check.json"
+# fairsim figure writes selection.csv alone for a selection figure, and
+# figure.csv beside a run's files for ev-sync-rewards
+_SELECTION, _FIGURE = "selection.csv", "figure.csv"
 # the names _CHAIN and _TRACE give
 _REP_FILE = re.compile(r"(chain|trace)-([0-9]{3}|[1-9][0-9]{3,})\.jsonl")
 
@@ -509,7 +500,7 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     matrix = reps[0].result.matrix
     for h in matrix.heights():
         tally.record(h, matrix.committee(h))
-    yield "selection.csv", selection_csv(tally.stats(), {s.id: s.merit for s in scenario.specs})
+    yield _SELECTION, selection_csv(tally.stats(), {s.id: s.merit for s in scenario.specs})
 
     yield "fairness.json", fairness_json(scenario.window, [(rr.index, rr.report) for rr in reps])
     yield "aggregate.csv", _aggregate_csv(result.aggregate)

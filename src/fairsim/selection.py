@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Block, ProcessId, SelectionMechanismId
+from .core import DEFAULT_STAKE, Block, ProcessId, SelectionMechanismId
 from .fairness import InsufficientTrace
 
 
@@ -162,7 +162,7 @@ def _committees(
     which on the committees repeat every ``period`` heights. Sending it a
     number of heights skips them, which is exact for whole periods."""
     if initial_stakes is None:
-        initial_stakes = {pid: 100 for pid in range(population)}
+        initial_stakes = {pid: DEFAULT_STAKE for pid in range(population)}
     state = SelectionState(population, n, mech, initial_stakes)
     rank = state.rank
     # each member is credited one selection and ``reward_per_member`` stake

@@ -7,18 +7,19 @@ import sys
 import time
 import tracemalloc
 from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairsim.cli
 from fairsim.cli import main as cli_main
-from fairsim.consensus import SimulationEngine
-from fairsim.core import EMPTY_MAPPING, BehaviorKind
+from fairsim.consensus import EngineConfig, SimulationEngine
+from fairsim.core import EMPTY_MAPPING, BehaviorKind, TimeoutPolicy
 from fairsim.fairness import GroundTruth
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import MAX_POPULATION, ScenarioError, parse_scenario, run_scenario
-from fairsim.network import MessageKind
+from fairsim.network import Asynchronous, GoodBad, MessageKind, Synchronous
 from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
 from oracles import expanded_schedule
 
@@ -248,6 +249,17 @@ def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fairsim.cli, "run_scenario", exhausted)
     assert cli_main(["run", "--builtin", "goodbad-laggard", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == ['{"error": {"field": null, "message": "out of memory"}}']
+
+
+def test_an_internal_key_error_is_not_reported_as_a_user_error(tmp_path, monkeypatch):
+    """A KeyError inside the engine is a bug: it must surface as a
+    traceback, not as exit 2 with a JSON line that blames the input."""
+    def broken(self, pid, h, t):
+        raise KeyError(1)
+
+    monkeypatch.setattr(SimulationEngine, "_on_collect", broken)
+    with pytest.raises(KeyError):
+        cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(tmp_path / "o")])
 
 
 def test_run_scenario_writes_expected_files(tmp_path):
@@ -752,8 +764,24 @@ _NETWORKS = {
 }
 
 
+# the fields of each network model that have no default
+_REQUIRED_NETWORK_FIELDS = {
+    "good_bad": ("good_len", "bad_len", "good_delay_bound", "bad_delay_range"),
+    "eventually_synchronous": ("post_gst_bound", "pre_gst_delay_range"),
+    "asynchronous": (),
+    "synchronous": (),
+}
+
+
 def _network(model, **fields):
     return lambda doc: doc.update(network={**_NETWORKS[model], **fields})
+
+
+def _network_without(model, field):
+    def edit(doc):
+        _network(model)(doc)
+        del doc["network"][field]
+    return edit
 
 
 def _stakes(value):
@@ -870,6 +898,8 @@ def _over_byzantine_bound(doc):
         ("network.gst_height", _network("eventually_synchronous", gst_height=None)),
         ("network.gst_height", _network("eventually_synchronous", gst=0)),
         ("network", _evsync_without_gst),
+        *[(f"network.{field}", _network_without(model, field))
+          for model, fields in _REQUIRED_NETWORK_FIELDS.items() for field in fields],
         ("engine", lambda doc: doc.update(engine=5)),
         ("engine.round_ticks", _stalled_rounds),
         ("engine.round_ticks", _engine(round_ticks=-100)),
@@ -932,6 +962,36 @@ def test_cli_invalid_field_is_one_json_line(tmp_path, capsys, field, edit):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["field"] == field
+
+
+@pytest.mark.parametrize("model", sorted(_REQUIRED_NETWORK_FIELDS))
+def test_a_document_of_only_required_fields_parses_to_the_defaults(model):
+    network = {key: value for key, value in _NETWORKS[model].items()
+               if key in ("model", *_REQUIRED_NETWORK_FIELDS[model])}
+    if model == "eventually_synchronous":
+        network["gst"] = 0  # one of gst and gst_height is required
+    doc = {
+        "schema_version": 1,
+        "max_height": 6,
+        "population": {"size": 5},
+        "genesis": {"committee_size": 3, "selection": "round_robin", "reward": "reward_all_committee"},
+        "network": network,
+    }
+    sc = parse_scenario(doc)
+    assert sc.engine == EngineConfig() == (5, 5, 100)
+    assert sc.genesis.timeout_policy is TimeoutPolicy.FIXED
+    assert sc.genesis.reward_per_member == 1
+    assert sc.genesis.initial_stakes == {pid: 100 for pid in range(5)}
+    assert [(s.initial_stake, s.merit) for s in sc.specs] == [(100, Fraction(1, 5))] * 5
+    assert (sc.name, sc.seed, sc.replications, sc.window) == ("scenario", 0, 1, 3)
+    if model == "asynchronous":
+        assert sc.model == Asynchronous() == ((0, 3), 8, 50, 2)
+    elif model == "synchronous":
+        assert sc.model == Synchronous() == (0,)
+    elif model == "good_bad":
+        assert isinstance(sc.model, GoodBad) and dict(sc.model.laggards) == {}
+    else:
+        assert (sc.model.gst, sc.model.gst_height) == (0, None)
 
 
 def test_cli_byzantine_committee_in_the_engine_is_one_json_line_with_and_without_the_pool(tmp_path, capsys):
