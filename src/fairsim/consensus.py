@@ -35,6 +35,14 @@ before it when they are equal (``==``): a ``select_all`` committee never
 changes, and an even/odd fault schedule repeats the vector every other
 height. So blocks share these objects, and every reader treats them as
 read-only.
+
+A process is live at h from its start of h until it decides h, and
+nothing is pending while it is live: after every handler, its slot of h
+meets neither threshold and holds no proposal it has not answered. So the
+event loop delivers each copy itself and checks only what that copy's kind
+can complete, and it looks for the run's last block only after a call that
+can decide (the only way a block is appended) and after every start, round
+and collect event.
 """
 from __future__ import annotations
 
@@ -321,40 +329,12 @@ class SimulationEngine:
 
     # -- message handling ---------------------------------------------------
 
-    def _on_msg(self, msg: Message, pid: ProcessId, t: SimTime) -> None:
-        st = self.procs[pid]
+    def _on_late(self, msg: Message, pid: ProcessId, t: SimTime) -> None:
+        """A copy for a height its recipient has dropped: only a bogus payload
+        still acts, and block h is on the chain, since it has started h+2."""
         h = msg.height
-        kind = msg.kind
-        if h < st.height - 1:
-            # this process has dropped height h: only a bogus payload still
-            # acts, and block h is on the chain, since it has started h+2
-            if kind is not _SUSPICION and msg.payload != self.chain.block_at(h).payload_id:
-                self._suspect(pid, h, msg.sender, t)
-            return
-        slot = st.slots.get(h)
-        if slot is None:
-            slot = st.slots[h] = _Slot(self.n)
-        if self._sync_omission:
-            slot.heard.add(msg.sender)
-
-        if kind is _SUSPICION:
-            slot.suspicion.accuse(msg.payload, msg.sender)
-            return
-
-        # height h opened before anyone could send for it, and its record is
-        # dropped only once this process has started h+2
-        info = self._heights[h]
-        if msg.payload != info.payload:
+        if msg.kind is not _SUSPICION and msg.payload != self.chain.block_at(h).payload_id:
             self._suspect(pid, h, msg.sender, t)
-        elif kind is _DECISION:
-            slot.deliveries.add(msg.sender)
-        elif kind is _VOTE:
-            slot.votes.add(msg.sender)
-        else:
-            slot.proposal_seen = True
-
-        if st.height == h and h not in st.decided:
-            self._check_progress(pid, h, info, slot, t)
 
     def _suspect(self, pid: ProcessId, h: int, suspect: ProcessId, t: SimTime) -> None:
         if self.specs[pid].behavior_at(h) is not _CORRECT:
@@ -443,14 +423,27 @@ class SimulationEngine:
         Each later height opens inside the handler that decides its parent
         block, and the GST swap ends that handler. A message event carries
         one send's recipients for one tick, each delivered in order as if it
-        were an event of its own, so the stop follows the exact delivery that
-        lands the last block."""
+        were an event of its own; the message and its height record are read
+        once per event.
+
+        Nothing is pending while a process is live at h (see the module
+        docstring), because ``_start_height`` checks the slot it finds and
+        each delivery checks what it adds. So a delivery checks only what its
+        kind can complete: a decision the evidence threshold, a vote the
+        member's quorum, a proposal the vote step (through
+        ``_check_progress``). A suspicion, a bogus payload and a copy for a
+        height its recipient is not live at complete nothing. Only ``_decide`` appends a block, so the stop check
+        follows each ``_decide`` or ``_check_progress`` call of a delivery and
+        every start, round and collect event: the run stops right after the
+        exact delivery that lands the last block."""
         self._open(1, GENESIS_HASH)
         blocks, max_height = self.chain.blocks, self.max_height
         for pid in range(self.population):
             self.queue.push(0, ("start", pid, 1))
         pop = self.queue.pop
-        on_msg, on_start, on_round, on_collect = self._on_msg, self._start_height, self._on_round, self._on_collect
+        procs, heights, n, sync_omission = self.procs, self._heights, self.n, self._sync_omission
+        on_late, suspect, check_progress, decide = self._on_late, self._suspect, self._check_progress, self._decide
+        on_start, on_round, on_collect = self._start_height, self._on_round, self._on_collect
         while True:
             try:
                 t, event = pop()
@@ -459,8 +452,44 @@ class SimulationEngine:
             kind = event[0]
             if kind == "msg":
                 msg = event[1]
+                h, mkind, payload, sender = msg.height, msg.kind, msg.payload, msg.sender
+                # height h opened before anyone could send for it, and its
+                # record is dropped only once every process has started h+2,
+                # so with no record every copy is late
+                info = heights.get(h)
+                bogus = info is None or payload != info.payload
                 for pid in event[2]:
-                    on_msg(msg, pid, t)
+                    st = procs[pid]
+                    height = st.height
+                    if h < height - 1:
+                        on_late(msg, pid, t)
+                        continue
+                    slot = st.slots.get(h)
+                    if slot is None:
+                        slot = st.slots[h] = _Slot(n)
+                    if sync_omission:
+                        slot.heard.add(sender)
+                    if mkind is _SUSPICION:
+                        slot.suspicion.accuse(payload, sender)
+                        continue
+                    if bogus:
+                        suspect(pid, h, sender, t)
+                        continue
+                    if mkind is _DECISION:
+                        slot.deliveries.add(sender)
+                        if height != h or len(slot.deliveries) < info.evidence or h in st.decided:
+                            continue
+                        decide(pid, h, info, t)
+                    elif mkind is _VOTE:
+                        slot.votes.add(sender)
+                        if height != h or len(slot.votes) < info.quorum or h in st.decided or pid not in info.members:
+                            continue
+                        decide(pid, h, info, t)
+                    else:
+                        slot.proposal_seen = True
+                        if height != h or h in st.decided:
+                            continue
+                        check_progress(pid, h, info, slot, t)
                     if len(blocks) > max_height:
                         return t
                 continue

@@ -133,10 +133,10 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
     pop = _known(_require(doc, "population", ""), "population", ("size", "merits", "stakes", "behaviors"))
     size = _int(_require(pop, "size", "population"), "population.size", 1, MAX_POPULATION)
 
-    merits_doc = pop.get("merits")
-    if merits_doc is None:
+    if "merits" not in pop:
         merits = uniform_merits(size)
     else:
+        merits_doc = pop["merits"]
         if not (
             isinstance(merits_doc, list)
             and len(merits_doc) == size

@@ -6,11 +6,15 @@ links of a stored chain the same way, fairness.json is rendered from
 templates, a behaviour schedule is kept as the rules its scenario states,
 and a selection-only run tallies whole periods once its committees repeat.
 ``CollectSpy`` keeps what the engine itself drops two heights later.
+``PerDeliveryEngine`` delivers each copy through a handler of its own and
+checks for the last block after every copy, where the engine checks only
+what each delivery can complete.
 """
 from typing import Dict, List, Optional, Set
 
-from fairsim.consensus import SimulationEngine
+from fairsim.consensus import SimulationEngine, _Slot
 from fairsim.core import GENESIS_HASH, BehaviorKind, Blockchain, ProcessId, SelectionMechanismId, simulated_hash
+from fairsim.network import ExhaustedQueue, MessageKind
 from fairsim.fairness import FairnessReport
 from fairsim.selection import SelectionState, SelectionStats, SelectionTally
 
@@ -60,6 +64,72 @@ class CollectSpy(SimulationEngine):
     def _on_collect(self, pid, h, t):
         super()._on_collect(pid, h, t)
         self.collected[pid][h] = self.procs[pid].slots[h].collected
+
+
+class PerDeliveryEngine(SimulationEngine):
+    """The engine with one handler call per delivered copy: every copy for a
+    live height runs the full ``_check_progress``, and the run checks for the
+    last block after each copy and each event. The engine must match it byte
+    for byte."""
+
+    def _on_msg(self, msg, pid, t):
+        st = self.procs[pid]
+        h = msg.height
+        kind = msg.kind
+        if h < st.height - 1:
+            # this process has dropped height h: only a bogus payload still
+            # acts, and block h is on the chain, since it has started h+2
+            if kind is not MessageKind.SUSPICION and msg.payload != self.chain.block_at(h).payload_id:
+                self._suspect(pid, h, msg.sender, t)
+            return
+        slot = st.slots.get(h)
+        if slot is None:
+            slot = st.slots[h] = _Slot(self.n)
+        if self._sync_omission:
+            slot.heard.add(msg.sender)
+
+        if kind is MessageKind.SUSPICION:
+            slot.suspicion.accuse(msg.payload, msg.sender)
+            return
+
+        info = self._heights[h]
+        if msg.payload != info.payload:
+            self._suspect(pid, h, msg.sender, t)
+        elif kind is MessageKind.DECISION:
+            slot.deliveries.add(msg.sender)
+        elif kind is MessageKind.VOTE:
+            slot.votes.add(msg.sender)
+        else:
+            slot.proposal_seen = True
+
+        if st.height == h and h not in st.decided:
+            self._check_progress(pid, h, info, slot, t)
+
+    def _deliver(self):
+        self._open(1, GENESIS_HASH)
+        blocks, max_height = self.chain.blocks, self.max_height
+        for pid in range(self.population):
+            self.queue.push(0, ("start", pid, 1))
+        while True:
+            try:
+                t, event = self.queue.pop()
+            except ExhaustedQueue:
+                return self.queue.clock
+            kind = event[0]
+            if kind == "msg":
+                for pid in event[2]:
+                    self._on_msg(event[1], pid, t)
+                    if len(blocks) > max_height:
+                        return t
+                continue
+            if kind == "start":
+                self._start_height(event[1], event[2], t)
+            elif kind == "round":
+                self._on_round(event[1], event[2], event[3], t)
+            elif kind == "collect":
+                self._on_collect(event[1], event[2], t)
+            if len(blocks) > max_height:
+                return t
 
 
 def chain_validate(bc: Blockchain) -> bool:

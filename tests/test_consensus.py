@@ -206,10 +206,19 @@ class _PeakSlots(SimulationEngine):
 
     peak_slots = peak_heights = 0
 
-    def _on_msg(self, msg, pid, t):
-        super()._on_msg(msg, pid, t)
+    def _peak(self, pid):
         self.peak_slots = max(self.peak_slots, len(self.procs[pid].slots))
         self.peak_heights = max(self.peak_heights, len(self._heights))
+
+    # deliveries add slots and height records and only a start drops them, so
+    # each count peaks just before a start; a collect comes just before one
+    def _start_height(self, pid, h, t):
+        self._peak(pid)
+        super()._start_height(pid, h, t)
+
+    def _on_collect(self, pid, h, t):
+        super()._on_collect(pid, h, t)
+        self._peak(pid)
 
 
 def test_live_slots_do_not_grow_with_the_run():

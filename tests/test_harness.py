@@ -596,21 +596,18 @@ _LAGGARD_TRACE_SHA256 = "ac7848f95355bcd4e6c3505ee93e8885e59bf012ce0571a317f501c
 
 def test_late_bogus_messages_leave_the_trace_unchanged(tmp_path, monkeypatch, capsys):
     late = []
-    on_msg = SimulationEngine._on_msg
+    on_late = SimulationEngine._on_late
 
     def spy(engine, msg, pid, t):
         h = msg.height
-        if (
-            h < engine.procs[pid].height - 1
-            and msg.kind is not MessageKind.SUSPICION
-            and msg.payload != engine.chain.block_at(h).payload_id
-        ):
-            late.append((pid, h))
-        on_msg(engine, msg, pid, t)
         st = engine.procs[pid]
+        assert h < st.height - 1
+        if msg.kind is not MessageKind.SUSPICION and msg.payload != engine.chain.block_at(h).payload_id:
+            late.append((pid, h))
+        on_late(engine, msg, pid, t)
         assert min(st.slots, default=st.height) >= st.height - 1
 
-    monkeypatch.setattr(SimulationEngine, "_on_msg", spy)
+    monkeypatch.setattr(SimulationEngine, "_on_late", spy)
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(_equivocating_laggard()))
     assert cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "o"), "--trace"]) == 0
@@ -929,6 +926,7 @@ def _over_byzantine_bound(doc):
          lambda doc: doc["population"]["behaviors"][0].update(process="1")),
         ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
         ("population.merits", lambda doc: doc["population"].update(merits=[2, -1, 0, 0])),
+        ("population.merits", lambda doc: doc["population"].update(merits=None)),
         ("population.behaviors[0].heights", _heights(["a"])),
         ("max_height", lambda doc: doc.pop("max_height")),
         ("population", lambda doc: doc.update(population=5)),

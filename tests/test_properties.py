@@ -15,7 +15,7 @@ from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy
 from fairsim.fairness import _GRADES
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import parse_scenario, run_scenario
-from oracles import CollectSpy, chain_validate
+from oracles import CollectSpy, PerDeliveryEngine, chain_validate
 
 
 @st.composite
@@ -142,9 +142,11 @@ def test_no_state_kept_for_dropped_heights(doc):
         assert min(proc.slots, default=proc.height) >= proc.height - 1, (pid, proc.height, sorted(proc.slots))
 
 
-class _DeliverySpy(SimulationEngine):
+class _DeliverySpy(PerDeliveryEngine):
     """Records (deliver_at, sender, recipient, kind, height) of each delivery,
-    and the tick and chain length after each handler that can append a block."""
+    and the tick and chain length after each handler that can append a block.
+    The reference engine delivers each copy through ``_on_msg``, which the
+    engine itself folds into its loop."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -204,3 +206,42 @@ def test_deliveries_follow_the_trace_in_delivery_tick_order(doc):
         assert engine.model.gst == next(t for t, n in engine.lengths if n >= gst_height - 1)
     elif gst_height is not None:
         assert engine.model.gst is None
+
+
+# six processes, all correct, delays of at most 5 ticks from tick 0 on:
+# process 2 starts height 6, the run's last, holding a quorum of 4 votes and
+# appends block 6 in its start event, so the run stops after that event
+_LATE_STARTER_HOLDS_A_QUORUM = {
+    "schema_version": 1,
+    "name": "late-starter-holds-a-quorum",
+    "population": {"size": 6, "behaviors": []},
+    "genesis": {"committee_size": 6, "selection": "highest_stake", "reward": "reward_all_committee",
+                "timeout_policy": "modulable"},
+    "network": {"model": "eventually_synchronous", "gst_height": 0, "post_gst_bound": 5,
+                "pre_gst_delay_range": [5, 5]},
+    "max_height": 5,
+    "seed": 1296,
+    "replications": 1,
+    "engine": {"delta0": 5, "delta_increment": 5, "round_ticks": 200},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scenarios(), scenarios(laggard=True)))
+@example(_evsync(0))
+@example(_evsync(1))
+@example(_evsync(4 + 1))
+@example(_evsync(4 + 2))
+@example(_LATE_STARTER_HOLDS_A_QUORUM)
+def test_engine_matches_the_per_delivery_reference(doc):
+    """The engine checks only what each delivery can complete and stops
+    only after a call that can append a block; the reference runs every
+    check after every copy. Both give the same run."""
+    sc = parse_scenario(doc)
+    args = (sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
+    got = SimulationEngine(*args, record_trace=True).run()
+    want = PerDeliveryEngine(*args, record_trace=True).run()
+    assert got.chain.blocks == want.chain.blocks
+    assert got.trace == want.trace
+    assert got.decided_at == want.decided_at
+    assert got.finished_at == want.finished_at
