@@ -21,14 +21,14 @@ gst_height - 1.
 A process keeps all it knows of height h in one slot (votes, decisions,
 the accusations delivered for h, what its collect ended with) and drops it
 whole when it starts h+2, once ``_on_collect(h)`` and
-``_reward_proposal(h+1)`` have read it; a later message for h acts only
-when its payload is bogus, and reads the valid payload off block h. The
-engine keeps what it fixes for h (committee, payload, the block's rewards)
-in one record, dropped once every process has started h+2. So engine
-memory grows with the run only by what it returns (the chain, a reward
-matrix sharing its committees and vectors, the decision ticks) and by the
-(height, suspect) pairs each process has accused, kept because a bogus
-message for any past height can still be in flight.
+``_reward_proposal(h+1)`` have read it; a later copy for h acts only when
+its payload is bogus. The engine keeps what it fixes for h (committee,
+payload, the block's rewards) in one record, with the (accuser, suspect)
+pairs accused at h and the number of bogus copies for h still queued. The
+record is dropped once every process has started h+2 and no bogus copy for
+h is queued, so a late copy finds the record exactly when it is bogus.
+Engine memory thus grows with the run only by what it returns: the chain,
+a reward matrix sharing its committees and vectors, the decision ticks.
 
 A block reuses the committee or reward vector of one of the two blocks
 before it when they are equal (``==``): a ``select_all`` committee never
@@ -38,16 +38,21 @@ read-only.
 
 A process is live at h from its start of h until it decides h, and
 nothing is pending while it is live: after every handler, its slot of h
-meets neither threshold and holds no proposal it has not answered. So the
-event loop delivers each copy itself and checks only what that copy's kind
-can complete, and it looks for the run's last block only after a call that
-can decide (the only way a block is appended) and after every start, round
-and collect event.
+meets neither threshold and holds no proposal it has not answered, since
+``_start_height`` checks the slot it finds and each delivery checks what
+it adds. So the event loop delivers each copy itself and checks only what
+that copy's kind can complete: a decision the evidence threshold, a vote
+the member's quorum, a proposal the vote step. A suspicion, a bogus
+payload and a copy for a height its recipient is not live at complete
+nothing. Only ``_decide`` appends a block, so the loop looks for the run's
+last block only after a call that can decide and after every start, round
+and collect event: the run stops right after the exact delivery that lands
+it.
 """
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Set
 
 from .core import (
     GENESIS_HASH,
@@ -163,22 +168,21 @@ class _Slot:
 
 
 class _Proc:
-    # slots[h] lives until the process starts h+2; decided (the run's result)
-    # and accused (so a late bogus message is not accused twice) keep every h
-    __slots__ = ("delta", "height", "slots", "decided", "accused")
+    # slots[h] lives until the process starts h+2; decided (the run's result) keeps every h
+    __slots__ = ("delta", "height", "slots", "decided")
 
     def __init__(self, delta: int) -> None:
         self.delta, self.height = delta, 0
         self.slots: Dict[int, _Slot] = {}
         self.decided: Dict[int, SimTime] = {}
-        self.accused: Set[Tuple[int, ProcessId]] = set()
 
 
 class _Height:
-    """What its parent block fixes for one height, its block's rewards, and how many processes started it."""
+    """What its parent block fixes for one height, its block's rewards, how many processes started it, who
+    accused whom at it, and how many copies with a bogus payload for it are queued."""
 
     __slots__ = ("committee", "faulty", "members", "order", "quorum", "evidence", "parent_link", "payload",
-                 "reward", "started")
+                 "reward", "started", "accused", "bogus")
 
     def __init__(self, h: int, committee: List[ProcessId], parent_link: int, scheduled: Sequence[ProcessSpec]) -> None:
         self.committee = committee
@@ -191,6 +195,8 @@ class _Height:
         self.parent_link = parent_link
         self.payload = payload_for_height(h, parent_link)
         self.reward, self.started = None, 0  # reward: set by the first correct proposal; height 1's is {}
+        self.accused: Set[tuple] = set()  # (accuser, suspect): each pair sends one suspicion
+        self.bogus = 0
 
 
 # deterministic bogus payload offsets for equivocating senders
@@ -276,8 +282,11 @@ class SimulationEngine:
         info = self._heights[h]
         info.started += 1
         if info.started == self.population:
-            # no process reads height h-2 any more; a late message for it reads block h-2
-            self._heights.pop(h - 2, None)
+            # every process has dropped its slots up to h-2: a record there
+            # is read only by a bogus copy for it, so it goes once none is queued
+            heights = self._heights
+            for old in [k for k in heights if k <= h - 2 and not heights[k].bogus]:
+                del heights[old]
         if pid in info.members:
             self._on_round(pid, h, 0, t)
         slot = st.slots.get(h)
@@ -296,6 +305,7 @@ class SimulationEngine:
         another to the upper half."""
         info = self._heights[h]
         peers = [q for q in info.order if q != pid]
+        info.bogus += len(peers)
         half = len(peers) // 2
         self._send(pid, peers[:half], kind, h, info.payload + _BOGUS_A, t)
         self._send(pid, peers[half:], kind, h, info.payload + _BOGUS_B, t)
@@ -329,20 +339,14 @@ class SimulationEngine:
 
     # -- message handling ---------------------------------------------------
 
-    def _on_late(self, msg: Message, pid: ProcessId, t: SimTime) -> None:
-        """A copy for a height its recipient has dropped: only a bogus payload
-        still acts, and block h is on the chain, since it has started h+2."""
-        h = msg.height
-        if msg.kind is not _SUSPICION and msg.payload != self.chain.block_at(h).payload_id:
-            self._suspect(pid, h, msg.sender, t)
-
     def _suspect(self, pid: ProcessId, h: int, suspect: ProcessId, t: SimTime) -> None:
         if self.specs[pid].behavior_at(h) is not _CORRECT:
             return
-        st = self.procs[pid]
-        if (h, suspect) in st.accused:
+        accused = self._heights[h].accused
+        if (pid, suspect) in accused:
             return
-        st.accused.add((h, suspect))
+        accused.add((pid, suspect))
+        st = self.procs[pid]
         if h >= st.height - 1:
             # a message or a collect for h made the slot
             st.slots[h].suspicion.accuse(suspect, pid)
@@ -423,26 +427,15 @@ class SimulationEngine:
         Each later height opens inside the handler that decides its parent
         block, and the GST swap ends that handler. A message event carries
         one send's recipients for one tick, each delivered in order as if it
-        were an event of its own; the message and its height record are read
-        once per event.
-
-        Nothing is pending while a process is live at h (see the module
-        docstring), because ``_start_height`` checks the slot it finds and
-        each delivery checks what it adds. So a delivery checks only what its
-        kind can complete: a decision the evidence threshold, a vote the
-        member's quorum, a proposal the vote step (through
-        ``_check_progress``). A suspicion, a bogus payload and a copy for a
-        height its recipient is not live at complete nothing. Only ``_decide`` appends a block, so the stop check
-        follows each ``_decide`` or ``_check_progress`` call of a delivery and
-        every start, round and collect event: the run stops right after the
-        exact delivery that lands the last block."""
+        were an event of its own, under the live and stop rules of the module
+        docstring; the message and its height record are read once per event."""
         self._open(1, GENESIS_HASH)
         blocks, max_height = self.chain.blocks, self.max_height
         for pid in range(self.population):
             self.queue.push(0, ("start", pid, 1))
         pop = self.queue.pop
         procs, heights, n, sync_omission = self.procs, self._heights, self.n, self._sync_omission
-        on_late, suspect, check_progress, decide = self._on_late, self._suspect, self._check_progress, self._decide
+        suspect, check_progress, decide = self._suspect, self._check_progress, self._decide
         on_start, on_round, on_collect = self._start_height, self._on_round, self._on_collect
         while True:
             try:
@@ -454,15 +447,18 @@ class SimulationEngine:
                 msg = event[1]
                 h, mkind, payload, sender = msg.height, msg.kind, msg.payload, msg.sender
                 # height h opened before anyone could send for it, and its
-                # record is dropped only once every process has started h+2,
-                # so with no record every copy is late
+                # record outlives every process's slot and every bogus copy,
+                # so with no record every copy is late and none is bogus
                 info = heights.get(h)
-                bogus = info is None or payload != info.payload
+                bogus = info is not None and mkind is not _SUSPICION and payload != info.payload
+                if bogus:
+                    info.bogus -= len(event[2])
                 for pid in event[2]:
                     st = procs[pid]
                     height = st.height
                     if h < height - 1:
-                        on_late(msg, pid, t)
+                        if bogus:
+                            suspect(pid, h, sender, t)
                         continue
                     slot = st.slots.get(h)
                     if slot is None:

@@ -8,7 +8,8 @@ and a selection-only run tallies whole periods once its committees repeat.
 ``CollectSpy`` keeps what the engine itself drops two heights later.
 ``PerDeliveryEngine`` delivers each copy through a handler of its own and
 checks for the last block after every copy, where the engine checks only
-what each delivery can complete.
+what each delivery can complete; it judges a copy for a dropped height
+against block h on the chain, where the engine reads the height's record.
 """
 from typing import Dict, List, Optional, Set
 
@@ -69,8 +70,9 @@ class CollectSpy(SimulationEngine):
 class PerDeliveryEngine(SimulationEngine):
     """The engine with one handler call per delivered copy: every copy for a
     live height runs the full ``_check_progress``, and the run checks for the
-    last block after each copy and each event. The engine must match it byte
-    for byte."""
+    last block after each copy and each event. Each bogus copy takes one off
+    its height's queued count, as the engine's does per event, so records
+    are dropped alike. The engine must match it byte for byte."""
 
     def _on_msg(self, msg, pid, t):
         st = self.procs[pid]
@@ -80,6 +82,7 @@ class PerDeliveryEngine(SimulationEngine):
             # this process has dropped height h: only a bogus payload still
             # acts, and block h is on the chain, since it has started h+2
             if kind is not MessageKind.SUSPICION and msg.payload != self.chain.block_at(h).payload_id:
+                self._heights[h].bogus -= 1
                 self._suspect(pid, h, msg.sender, t)
             return
         slot = st.slots.get(h)
@@ -94,6 +97,7 @@ class PerDeliveryEngine(SimulationEngine):
 
         info = self._heights[h]
         if msg.payload != info.payload:
+            info.bogus -= 1
             self._suspect(pid, h, msg.sender, t)
         elif kind is MessageKind.DECISION:
             slot.deliveries.add(msg.sender)

@@ -282,13 +282,13 @@ _WIDE_COMMITTEE = {
 
 @pytest.mark.parametrize(
     "doc, heights, bound",
-    [(builtin_scenario("sync-suspicion-equivocator"), (300, 1200), 700), (_WIDE_COMMITTEE, (10, 20), 20_000)],
+    [(builtin_scenario("sync-suspicion-equivocator"), (300, 1200), 450), (_WIDE_COMMITTEE, (10, 20), 20_000)],
     ids=["N=4", "N=100"],
 )
 def test_retained_memory_per_height(doc, heights, bound):
     # what a run keeps per height is its outputs (the chain, the reward
-    # matrix that shares the chain's vectors, the decision ticks) and the
-    # accusations; each process's collected decisions go two heights later.
+    # matrix that shares the chain's vectors, the decision ticks); each
+    # process's collected decisions and accusations go two heights later.
     # At N=4 the committee never changes and each vector equals the one two
     # heights before, so the chain holds one committee and three vectors at any length
     h1, h2 = heights

@@ -596,18 +596,16 @@ _LAGGARD_TRACE_SHA256 = "ac7848f95355bcd4e6c3505ee93e8885e59bf012ce0571a317f501c
 
 def test_late_bogus_messages_leave_the_trace_unchanged(tmp_path, monkeypatch, capsys):
     late = []
-    on_late = SimulationEngine._on_late
+    suspect = SimulationEngine._suspect
 
-    def spy(engine, msg, pid, t):
-        h = msg.height
+    def spy(engine, pid, h, sender, t):
         st = engine.procs[pid]
-        assert h < st.height - 1
-        if msg.kind is not MessageKind.SUSPICION and msg.payload != engine.chain.block_at(h).payload_id:
+        if h < st.height - 1:
             late.append((pid, h))
-        on_late(engine, msg, pid, t)
+        suspect(engine, pid, h, sender, t)
         assert min(st.slots, default=st.height) >= st.height - 1
 
-    monkeypatch.setattr(SimulationEngine, "_on_late", spy)
+    monkeypatch.setattr(SimulationEngine, "_suspect", spy)
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(_equivocating_laggard()))
     assert cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "o"), "--trace"]) == 0
@@ -615,6 +613,45 @@ def test_late_bogus_messages_leave_the_trace_unchanged(tmp_path, monkeypatch, ca
     assert late
     trace = (tmp_path / "o" / "trace-000.jsonl").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == _LAGGARD_TRACE_SHA256
+
+
+class _QueuedBogus(SimulationEngine):
+    """Checks, after each start (the only handler that drops height
+    records), that each record counts exactly the queued proposal and vote
+    copies with a bogus payload for its height and that every height with
+    such a copy keeps its record; records the most records held at once."""
+
+    peak = 0
+
+    def _start_height(self, pid, h, t):
+        # deliveries add records and only a start drops them
+        self.peak = max(self.peak, len(self._heights))
+        super()._start_height(pid, h, t)
+        queue, heights = self.queue, self._heights
+        rest = queue._current[len(queue._current) - queue._drain.__length_hint__():]
+        queued = {}
+        for events in (rest, *queue._buckets.values()):
+            for event in events:
+                msg = event[1]
+                if event[0] != "msg" or msg.kind not in (MessageKind.PROPOSE, MessageKind.VOTE):
+                    continue
+                info = heights.get(msg.height)
+                valid = info.payload if info is not None else self.chain.block_at(msg.height).payload_id
+                if msg.payload != valid:
+                    queued[msg.height] = queued.get(msg.height, 0) + len(event[2])
+        assert set(queued) <= set(heights), (t, sorted(queued), sorted(heights))
+        assert {k: info.bogus for k, info in heights.items()} == {k: queued.get(k, 0) for k in heights}, t
+
+
+def test_height_records_outlive_their_queued_bogus_copies():
+    peaks = []
+    for max_height in (100, 400):
+        sc = parse_scenario(dict(_equivocating_laggard(), max_height=max_height))
+        engine = _QueuedBogus(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
+        assert len(engine.run().chain) == max_height + 1
+        peaks.append(engine.peak)
+    # a record waits out its bogus copies, which lag a fixed 80 ticks
+    assert peaks[0] == peaks[1]
 
 
 def test_parallel_jobs_match_serial(tmp_path):
