@@ -215,7 +215,6 @@ class SimulationEngine:
         config: EngineConfig = None,
         record_trace: bool = False,
     ) -> None:
-        self.specs = {s.id: s for s in specs}
         self._scheduled = [s for s in specs if s.behavior]  # only these can be faulty at some height
         self.genesis = genesis
         self.model = model
@@ -340,9 +339,10 @@ class SimulationEngine:
     # -- message handling ---------------------------------------------------
 
     def _suspect(self, pid: ProcessId, h: int, suspect: ProcessId, t: SimTime) -> None:
-        if self.specs[pid].behavior_at(h) is not _CORRECT:
+        info = self._heights[h]
+        if pid in info.faulty:
             return
-        accused = self._heights[h].accused
+        accused = info.accused
         if (pid, suspect) in accused:
             return
         accused.add((pid, suspect))

@@ -5,10 +5,9 @@ synchronous (fixed delay), alternating good/bad periods with optional
 per-process laggards, eventually synchronous with a global stabilization
 time (GST), and asynchronous with unbounded escalating delay bursts.
 
-A ``Message`` is one send: every recipient of it is delivered the same
-frozen object. ``assign_delay`` draws the delays of a whole send at once
-and groups its recipients by delivery tick, and each group travels in one
-delivery event.
+A ``Message`` is one send: every recipient of it shares one tuple.
+``assign_delay`` draws the delays of a whole send at once and groups its
+recipients by delivery tick, and each group travels in one delivery event.
 """
 from __future__ import annotations
 
@@ -32,27 +31,14 @@ class MessageKind(Enum):
 _DECISION = MessageKind.DECISION
 
 
-class Message:
-    """One send, shared by all of its recipients, so no field can be assigned
-    or deleted. Slots, not a tuple: handlers read them on every delivery."""
+class Message(NamedTuple):
+    """One send, shared by all of its recipients: a tuple, so read-only."""
 
-    __slots__ = ("sender", "height", "kind", "payload", "sent_at")  # payload: payload_id, or a suspect's id
-
-    def __init__(self, sender: int, height: int, kind: MessageKind, payload: int, sent_at: SimTime = 0) -> None:
-        # each slot's own descriptor writes it, past __setattr__
-        _set_sender(self, sender)
-        _set_height(self, height)
-        _set_kind(self, kind)
-        _set_payload(self, payload)
-        _set_sent_at(self, sent_at)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a Message is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-
-_set_sender, _set_height, _set_kind, _set_payload, _set_sent_at = (vars(Message)[f].__set__ for f in Message.__slots__)
+    sender: int
+    height: int
+    kind: MessageKind
+    payload: int  # payload_id, or a suspect's id
+    sent_at: SimTime = 0
 
 
 class Synchronous(NamedTuple):

@@ -49,4 +49,4 @@ def test_no_namedtuple_field_defaults_to_a_mutable_container():
         for field, default in cls._field_defaults.items():
             assert not isinstance(default, (MutableMapping, MutableSequence, MutableSet)), (cls, field)
         checked.add(cls.__name__)
-    assert {"ProcessSpec", "GenesisConfig", "GoodBad", "RunResult", "FairnessReport"} <= checked
+    assert {"ProcessSpec", "GenesisConfig", "GoodBad", "Message", "RunResult", "FairnessReport"} <= checked
