@@ -79,7 +79,8 @@ def _cmd_figure(args) -> int:
         mech, population, n, heights = _SELECTION_FIGURES[args.name]
         stats = run_selection_experiment(population, n, mech, heights)
         os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, _SELECTION), selection_csv(stats, uniform_merits(population)))
+        text = selection_csv(stats.counts, stats.total_heights, uniform_merits(population))
+        _atomic_write(os.path.join(args.out, _SELECTION), text)
         print(f"{args.name}: selection counts over {heights} heights written to {args.out}")
         return 0
     if args.name == "ev-sync-rewards":

@@ -116,7 +116,7 @@ def classify(
     def clean(h: int) -> bool:
         return all(grades[h])
 
-    if all(clean(h) for h in heights):
+    if all(map(all, grades.values())):
         return Classification.FAIR, heights[0]
 
     # maximal clean suffix
@@ -143,32 +143,43 @@ def build_report(
     static_complete: bool = False,
     static_accurate: bool = False,
 ) -> FairnessReport:
-    """Grade every allocated height of ``matrix`` against its committee and classify the run."""
+    """Grade every allocated height of ``matrix`` against its committee and classify the run.
+
+    A height's grade and witnesses follow from its row and its faulty set,
+    so each distinct (row number, faulty set) is graded once."""
+    rows = [
+        (committee, set(committee), {pid for pid, amt in vector.items() if amt > 0})
+        for committee, vector in matrix.pairs()
+    ]
+    graded = {}  # (row number, faulty set) -> (its grade, its witnesses as (pid, condition))
     grades: Dict[int, HeightGrade] = {}
     witnesses: List[Tuple[int, ProcessId, str]] = []
-    for h in matrix.heights():
-        # one read of the height's row
-        rewarded = matrix.rewarded(h)
-        committee = matrix.committee(h)
-        members = set(committee)
+    for h, number in matrix.numbers():
         faulty = truth.faulty(h)
-        grade = grades[h] = _grade(rewarded, members, faulty)
-        if not grade[0]:
-            witnesses.extend((h, pid, "cond1") for pid in sorted(rewarded - members))
-        if not grade[1]:
-            witnesses.extend(
-                (h, pid, "completeness") for pid in committee if pid not in faulty and pid not in rewarded
-            )
-        if not grade[2]:
-            witnesses.extend((h, pid, "accuracy") for pid in committee if pid in faulty and pid in rewarded)
+        found = graded.get((number, faulty))
+        if found is None:
+            committee, members, rewarded = rows[number]
+            grade = _grade(rewarded, members, faulty)
+            why = []
+            if not grade[0]:
+                why.extend((pid, "cond1") for pid in sorted(rewarded - members))
+            if not grade[1]:
+                why.extend((pid, "completeness") for pid in committee if pid not in faulty and pid not in rewarded)
+            if not grade[2]:
+                why.extend((pid, "accuracy") for pid in committee if pid in faulty and pid in rewarded)
+            found = graded[number, faulty] = (grade, why)
+        grades[h] = found[0]
+        if found[1]:
+            witnesses.extend((h, pid, condition) for pid, condition in found[1])
 
     label, h0 = classify(grades, stabilization_window, static_complete, static_accurate)
+    distinct = [grade for grade, _ in graded.values()]
     return FairnessReport(
         grades=grades,
         classification=label,
         h0=h0,
-        complete_rows_ok=all(g[0] and g[1] for g in grades.values()),
-        accurate_rows_ok=all(g[0] and g[2] for g in grades.values()),
+        complete_rows_ok=all(g[0] and g[1] for g in distinct),
+        accurate_rows_ok=all(g[0] and g[2] for g in distinct),
         witnesses=witnesses,
     )
 

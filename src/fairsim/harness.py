@@ -43,7 +43,6 @@ from .core import (
 from .fairness import FairnessReport, GroundTruth, build_report, fairness_json
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
 from .reward import RewardMatrix
-from .selection import SelectionStats, SelectionTally
 
 SCHEMA_VERSION = 1
 # the keys a scenario document and its genesis object may hold
@@ -400,24 +399,39 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
     """Per-height mean/std of the reward parameter over committee members.
 
     Two spreads are reported: over every (process, replication) sample and
-    over per-replication means.
+    over per-replication means. Each replication's flags and mean are worked
+    out once per row number, and a triple once per distinct tuple of the
+    replications' numbers at a height, so heights with that tuple share it.
+    Every replication of a scenario allocates the same heights.
     """
-    heights = reps[0].result.matrix.heights() if reps else []
+    matrices = [rr.result.matrix for rr in reps]
+    flags = [[_flags_and_mean(committee, vector) for committee, vector in m.pairs()] for m in matrices]
+    numbered = [m.numbers() for m in matrices]
+    heights = [h for h, _ in numbered[0]] if reps else []
+    triples: Dict[tuple, tuple] = {}  # the replications' numbers at a height -> its triple
     out: Dict[int, tuple] = {}
-    for h in heights:
-        samples: List[int] = []
-        rep_means: List[float] = []
-        for rr in reps:
-            row = rr.result.matrix.row(h)
-            values = [1 if row.get(pid, 0) > 0 else 0 for pid in rr.result.matrix.committee(h)]
-            samples.extend(values)
-            rep_means.append(sum(values) / len(values))
-        mean = sum(samples) / len(samples)
-        std_all = math.sqrt(_sum_in_order((v - mean) ** 2 for v in samples) / len(samples))
-        mu_rep = _sum_in_order(rep_means) / len(rep_means)
-        std_rep = math.sqrt(_sum_in_order((v - mu_rep) ** 2 for v in rep_means) / len(rep_means))
-        out[h] = (mean, std_all, std_rep)
+    for h, key in zip(heights, zip(*([number for _, number in numbers] for numbers in numbered))):
+        triple = triples.get(key)
+        if triple is None:
+            samples: List[int] = []
+            rep_means: List[float] = []
+            for rep_flags, number in zip(flags, key):
+                values, rep_mean = rep_flags[number]
+                samples.extend(values)
+                rep_means.append(rep_mean)
+            mean = sum(samples) / len(samples)
+            std_all = math.sqrt(_sum_in_order((v - mean) ** 2 for v in samples) / len(samples))
+            mu_rep = _sum_in_order(rep_means) / len(rep_means)
+            std_rep = math.sqrt(_sum_in_order((v - mu_rep) ** 2 for v in rep_means) / len(rep_means))
+            triple = triples[key] = (mean, std_all, std_rep)
+        out[h] = triple
     return out
+
+
+def _flags_and_mean(committee: Sequence[ProcessId], vector: Dict[ProcessId, int]) -> Tuple[List[int], float]:
+    """Each member's reward parameter, in committee order, and their mean."""
+    values = [1 if vector.get(pid, 0) > 0 else 0 for pid in committee]
+    return values, sum(values) / len(values)
 
 
 # -- outputs -----------------------------------------------------------------
@@ -426,6 +440,12 @@ def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> 
 # library writes: ``json.dumps(..., sort_keys=True)`` for the JSON files
 # (``indent=2`` for fairness.json, see ``fairness_json``) and ``csv.writer``
 # (lines ending in \r\n) for the CSV files.
+#
+# Rows that share a number in their RewardMatrix are one row: rewards.csv's
+# lines, the selection tally and aggregate.csv's triples are made once per
+# number (or per triple). Per height stay only the chain's line, the
+# "rep,h," prefix of rewards.csv, aggregate.csv's height and fairness.json's
+# key; grading reads the faulty set of each height (``build_report``).
 
 # chain and trace names take the replication index; _CHECK is the summary fairsim check writes
 _ECHO, _CHAIN, _TRACE, _CHECK = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl", "fairness-check.json"
@@ -453,27 +473,49 @@ def _rewards_csv(reps: Sequence[ReplicationResult]) -> str:
     out = ["replication,height,process_id,r,amount\r\n"]
     for rr in reps:
         matrix = rr.result.matrix
-        for h in matrix.heights():
-            row = matrix.row(h)
-            prefix = f"{rr.index},{h},"
-            for pid in matrix.committee(h):
-                amount = row.get(pid, 0)
-                out.append(f"{prefix}{pid},{1 if amount > 0 else 0},{amount}\r\n")
+        # each number's "pid,r,amount" lines after an empty piece, so that
+        # joining them with a height's "rep,h," puts it before every line
+        lines = [
+            ["", *(f"{pid},{1 if vector.get(pid, 0) > 0 else 0},{vector.get(pid, 0)}\r\n" for pid in committee)]
+            for committee, vector in matrix.pairs()
+        ]
+        for h, number in matrix.numbers():
+            out.append(f"{rr.index},{h},".join(lines[number]))
     return "".join(out)
 
 
-def selection_csv(stats: SelectionStats, merits: Dict[ProcessId, Fraction]) -> str:
+def selection_csv(counts: Dict[ProcessId, int], total_heights: int, merits: Dict[ProcessId, Fraction]) -> str:
     """selection.csv: per-process selection count, frequency v_i and merit alpha_i."""
     out = ["process_id,count,v_i,alpha_i\r\n"]
-    for pid, count in sorted(stats.counts.items()):
-        out.append(f"{pid},{count},{count / stats.total_heights!r},{float(merits[pid])!r}\r\n")
+    for pid, count in sorted(counts.items()):
+        out.append(f"{pid},{count},{count / total_heights!r},{float(merits[pid])!r}\r\n")
     return "".join(out)
+
+
+def _selection_counts(matrix: RewardMatrix, population: int) -> Tuple[Dict[ProcessId, int], int]:
+    """How many of ``matrix``'s heights select each process, and the last height."""
+    numbers = matrix.numbers()
+    times = [0] * len(matrix.pairs())  # heights per number
+    for _, number in numbers:
+        times[number] += 1
+    counts = [0] * population
+    for (committee, _), n in zip(matrix.pairs(), times):
+        for pid in committee:
+            counts[pid] += n
+    return dict(enumerate(counts)), numbers[-1][0] if numbers else 0
 
 
 def _aggregate_csv(aggregate: Dict[int, tuple]) -> str:
     out = [_AGGREGATE_HEAD]
-    for h, (mean, std_all, std_rep) in sorted(aggregate.items()):
-        out.append(f"{h},{mean!r},{std_all!r},{std_rep!r}\r\n")
+    # triple -> (that triple, its text); 0.0 and -0.0 are equal but print
+    # apart, so a text is reused only for the very triple it was made from
+    texts: Dict[tuple, Tuple[tuple, str]] = {}
+    for h, triple in sorted(aggregate.items()):
+        made = texts.get(triple)
+        if made is None or made[0] is not triple:
+            mean, std_all, std_rep = triple
+            made = texts[triple] = (triple, f"{mean!r},{std_all!r},{std_rep!r}\r\n")
+        out.append(f"{h},{made[1]}")
     return "".join(out)
 
 
@@ -496,11 +538,8 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
             yield _TRACE.format(rr.index), _trace_jsonl(rr.result.trace)
     yield "rewards.csv", _rewards_csv(reps)
 
-    tally = SelectionTally(scenario.genesis.population)
-    matrix = reps[0].result.matrix
-    for h in matrix.heights():
-        tally.record(h, matrix.committee(h))
-    yield _SELECTION, selection_csv(tally.stats(), {s.id: s.merit for s in scenario.specs})
+    counts, total_heights = _selection_counts(reps[0].result.matrix, scenario.genesis.population)
+    yield _SELECTION, selection_csv(counts, total_heights, {s.id: s.merit for s in scenario.specs})
 
     yield "fairness.json", fairness_json(scenario.window, [(rr.index, rr.report) for rr in reps])
     yield "aggregate.csv", _aggregate_csv(result.aggregate)

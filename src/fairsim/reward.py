@@ -9,7 +9,7 @@ within floor((n-1)/3).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .core import ProcessId, RewardMechanismId
 
@@ -29,35 +29,58 @@ class RewardMatrix:
     block h's committee and block h+1's reward vector, the chain's own objects.
     A block reuses an equal committee or vector of the two blocks before it,
     so several rows can share one object: read them, never change them.
+
+    A height holds the number of its row's pair of objects, and ``pairs``
+    lists the distinct pairs by number. ``set_row`` reuses the number of
+    height h-1 or h-2 when the pair is those very objects, which finds every
+    recurring pair on each built-in scenario and benchmark workload; so work
+    done once per number is done once per distinct row. The numbers, unlike
+    object ids, survive pickling.
     """
 
     def __init__(self) -> None:
-        self._rows: Dict[int, Dict[ProcessId, int]] = {}
-        self._committees: Dict[int, Sequence[ProcessId]] = {}
+        self._numbers: Dict[int, int] = {}  # height -> the number of its row's pair
+        self._pairs: List[Tuple[Sequence[ProcessId], Dict[ProcessId, int]]] = []
 
     def set_row(self, height: int, committee: Sequence[ProcessId], amounts: Dict[ProcessId, int]) -> None:
-        if height in self._rows:
+        numbers, pairs = self._numbers, self._pairs
+        if height in numbers:
             raise ValueError(f"rewards for height {height} already allocated")
-        bad = set(amounts) - set(committee)
-        if bad:
-            raise ValueError(f"rewarded non-members at height {height}: {sorted(bad)}")
-        self._rows[height] = amounts
-        self._committees[height] = committee
+        for earlier in (height - 1, height - 2):
+            number = numbers.get(earlier)
+            if number is not None and pairs[number][0] is committee and pairs[number][1] is amounts:
+                break
+        else:
+            # a pair already stored was checked when it was
+            bad = set(amounts) - set(committee)
+            if bad:
+                raise ValueError(f"rewarded non-members at height {height}: {sorted(bad)}")
+            number = len(pairs)
+            pairs.append((committee, amounts))
+        numbers[height] = number
 
     def heights(self) -> List[int]:
-        return sorted(self._rows)
+        return sorted(self._numbers)
+
+    def numbers(self) -> List[Tuple[int, int]]:
+        """(height, the number of its row's pair) for each allocated height, in height order."""
+        return sorted(self._numbers.items())
+
+    def pairs(self) -> List[Tuple[Sequence[ProcessId], Dict[ProcessId, int]]]:
+        """The distinct (committee, vector) pairs, indexed by number. Read them, do not change them."""
+        return self._pairs
 
     def row(self, height: int) -> Dict[ProcessId, int]:
         """The amounts allocated for ``height``, by process; a member left
         out got nothing. Read it, do not change it."""
         try:
-            return self._rows[height]
+            return self._pairs[self._numbers[height]][1]
         except KeyError:
             raise RewardsNotYetAllocated(height) from None
 
     def committee(self, height: int) -> Sequence[ProcessId]:
         """The committee of an allocated ``height``, in its block's order. Read it, do not change it."""
-        return self._committees[height]
+        return self._pairs[self._numbers[height]][0]
 
     def amount(self, height: int, pid: ProcessId) -> int:
         return self.row(height).get(pid, 0)

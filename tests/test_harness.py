@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -18,9 +19,17 @@ from fairsim.consensus import EngineConfig, SimulationEngine
 from fairsim.core import EMPTY_MAPPING, BehaviorKind, TimeoutPolicy
 from fairsim.fairness import GroundTruth
 from fairsim.harness import regrade_output_dir
-from fairsim.harness import MAX_POPULATION, ScenarioError, parse_scenario, run_scenario
+from fairsim.harness import MAX_POPULATION, ScenarioError, ScenarioResult, parse_scenario, run_scenario
+from fairsim.harness import compute_aggregate, grade, render_outputs
 from fairsim.network import Asynchronous, GoodBad, MessageKind, Synchronous
-from fairsim.scenarios import builtin_scenario, evsync_tendermint, goodbad_laggard, sync_suspicion_equivocator
+from fairsim.reward import RewardMatrix
+from fairsim.scenarios import (
+    builtin_scenario,
+    evsync_rewards_figure,
+    evsync_tendermint,
+    goodbad_laggard,
+    sync_suspicion_equivocator,
+)
 from oracles import expanded_schedule
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -306,7 +315,8 @@ def test_replication_seeds_differ(tmp_path):
     sc = parse_scenario(doc)
     res = run_scenario(sc)
     a, b = res.replications
-    assert a.result.matrix._rows != b.result.matrix._rows
+    rows = [[rr.result.matrix.row(h) for h in rr.result.matrix.heights()] for rr in (a, b)]
+    assert rows[0] != rows[1]
 
 
 def test_scenario_runs_twice_alike_and_keeps_its_model(tmp_path):
@@ -320,6 +330,51 @@ def test_scenario_runs_twice_alike_and_keeps_its_model(tmp_path):
     for a, b in zip(first.replications, second.replications, strict=True):
         assert a.result.decided_at == b.result.decided_at
     assert _files(tmp_path / "second") == _files(tmp_path / "first")
+
+
+def _round_robin_never_reward() -> dict:
+    # the committees alternate between two halves of the population, and
+    # every block carries one shared empty vector, so a vector object is in
+    # two pairs
+    doc = _doc()
+    doc["population"] = {"size": 8}
+    doc["genesis"] = {"committee_size": 4, "selection": "round_robin", "reward": "never_reward"}
+    return doc
+
+
+def _pickled(doc: dict) -> ScenarioResult:
+    # the process pool pickles each replication, which gives its objects new ids
+    result = run_scenario(parse_scenario(doc))
+    return result._replace(replications=[pickle.loads(pickle.dumps(rr)) for rr in result.replications])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # one committee, and the vector of every other height is one object
+        lambda: run_scenario(parse_scenario(builtin_scenario("sync-suspicion-equivocator"))),
+        lambda: run_scenario(parse_scenario(evsync_rewards_figure(replications=3))),
+        lambda: run_scenario(parse_scenario(_round_robin_never_reward())),
+        lambda: _pickled(evsync_rewards_figure(replications=3)),
+    ],
+    ids=["sync-suspicion-equivocator", "evsync-rewards-figure-3-reps", "round-robin-never-reward", "pickled"],
+)
+def test_shared_rows_grade_and_render_as_unshared_ones(make):
+    result = make()
+    sc = result.scenario
+    reps = []
+    for rr in result.replications:
+        shared, chain, matrix = rr.result.matrix, rr.result.chain, RewardMatrix()
+        assert len(shared.pairs()) < len(shared.heights())
+        # each row from the chain, as fresh, equal copies: no two heights share an object
+        for h in shared.heights():
+            matrix.set_row(h, list(chain.block_at(h).committee), dict(chain.block_at(h + 1).reward_vector))
+        assert len(matrix.pairs()) == len(matrix.heights())
+        assert grade(sc, shared) == grade(sc, matrix) == rr.report
+        reps.append(rr._replace(result=rr.result._replace(matrix=matrix), report=grade(sc, matrix)))
+    fresh = ScenarioResult(sc, reps, compute_aggregate(sc, reps))
+    assert compute_aggregate(sc, result.replications) == fresh.aggregate == result.aggregate
+    assert list(render_outputs(result)) == list(render_outputs(fresh))
 
 
 def test_regrade_matches(tmp_path):

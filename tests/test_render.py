@@ -24,7 +24,6 @@ from fairsim.fairness import Classification, FairnessReport, fairness_json
 from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, _trace_jsonl, selection_csv
 from fairsim.network import MessageKind
 from fairsim.reward import RewardMatrix
-from fairsim.selection import SelectionStats
 from oracles import report_json
 
 _GENESIS = GenesisConfig(
@@ -155,8 +154,7 @@ def test_aggregate_csv_is_csv_writer(aggregate):
 def test_selection_csv_is_csv_writer(counts, total):
     from fractions import Fraction
 
-    stats = SelectionStats(counts=dict(enumerate(counts)), total_heights=total, max_gap={})
     merits = {pid: Fraction(pid + 1, 7 * len(counts)) for pid in range(len(counts))}
     rows = [["process_id", "count", "v_i", "alpha_i"]]
     rows += [[pid, c, repr(c / total), repr(float(merits[pid]))] for pid, c in enumerate(counts)]
-    assert selection_csv(stats, merits) == _csv(rows)
+    assert selection_csv(dict(enumerate(counts)), total, merits) == _csv(rows)
