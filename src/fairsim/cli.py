@@ -8,20 +8,23 @@
 ``check`` re-runs the scenario that DIR's scenario-echo.json echoes and
 compares every output file byte for byte with the stored one, traces
 included when DIR holds trace-000.jsonl; it exits 1 naming the first file
-that differs or is missing. Errors, including an output directory whose
-scenario echo cannot be read or run, are reported as one JSON object on
-stderr and exit code 2.
+that differs or is missing. This module parses the arguments, calls
+``harness``, which renders and writes every output file, and prints.
+
+A refused scenario or option, a scenario file that is not UTF-8 JSON, an
+output directory whose scenario echo cannot be read or run, a file error
+and running out of memory are reported as one JSON object on stderr and
+exit code 2; any other exception is a fault and ends in a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .harness import ScenarioError, _atomic_write, parse_scenario, regrade_output_dir, run_scenario, selection_csv
-from .harness import _CHECK, _FIGURE, _SELECTION
-from .core import SelectionMechanismId, uniform_merits
+from .core import ScenarioError, SelectionMechanismId
+from .harness import parse_scenario, regrade_output_dir, run_scenario
+from .harness import write_check_summary, write_figure_csv, write_selection_figure
 from .scenarios import builtin_scenario, evsync_rewards_figure
 from .selection import run_selection_experiment
 
@@ -55,7 +58,10 @@ def _cmd_run(args) -> int:
         raise ScenarioError("--jobs", "must be at least 1")
     if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (RecursionError, ValueError) as exc:  # not UTF-8, not JSON, or nested past the recursion limit
+                raise ScenarioError(None, str(exc)) from None
     else:
         doc = builtin_scenario(args.builtin)
     scenario = parse_scenario(doc, seed=args.seed, replications=args.reps)
@@ -77,19 +83,12 @@ def _cmd_figure(args) -> int:
         if args.seed is not None:
             raise ScenarioError("--seed", f"{args.name} draws nothing at random; only ev-sync-rewards takes a seed")
         mech, population, n, heights = _SELECTION_FIGURES[args.name]
-        stats = run_selection_experiment(population, n, mech, heights)
-        os.makedirs(args.out, exist_ok=True)
-        text = selection_csv(stats.counts, stats.total_heights, uniform_merits(population))
-        _atomic_write(os.path.join(args.out, _SELECTION), text)
+        write_selection_figure(run_selection_experiment(population, n, mech, heights), args.out)
         print(f"{args.name}: selection counts over {heights} heights written to {args.out}")
         return 0
     if args.name == "ev-sync-rewards":
         scenario = parse_scenario(evsync_rewards_figure(), seed=args.seed)
-        result = run_scenario(scenario, out_dir=args.out)
-        lines = ["height,mean,mean_minus_std,mean_plus_std\r\n"]
-        for h, (mean, std_all, _) in sorted(result.aggregate.items()):
-            lines.append(f"{h},{mean!r},{mean - std_all!r},{mean + std_all!r}\r\n")
-        _atomic_write(os.path.join(args.out, _FIGURE), "".join(lines))
+        write_figure_csv(run_scenario(scenario, out_dir=args.out), args.out)
         print(f"ev-sync-rewards: {scenario.replications} replications written to {args.out}")
         return 0
     known = sorted(_SELECTION_FIGURES) + ["ev-sync-rewards"]
@@ -98,13 +97,13 @@ def _cmd_figure(args) -> int:
 
 def _cmd_check(args) -> int:
     summary = regrade_output_dir(args.out)
-    _atomic_write(os.path.join(args.out, _CHECK), json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    written = write_check_summary(summary, args.out)
     if summary["matches_stored"]:
         print(f"all {len(summary['files'])} output files match a re-run of the echoed scenario")
         return 0
     first = summary["first_difference"]
     problem = "is missing" if summary["files"][first] == "missing" else "differs from the re-run"
-    print(f"{first} {problem} (see {_CHECK})", file=sys.stderr)
+    print(f"{first} {problem} (see {written})", file=sys.stderr)
     return 1
 
 
@@ -114,12 +113,11 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except ScenarioError as exc:
-        print(json.dumps(exc.to_json()), file=sys.stderr)
-        return 2
-    except (OSError, MemoryError, RecursionError, ValueError) as exc:
-        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
-        print(json.dumps({"error": {"field": None, "message": message}}), file=sys.stderr)
-        return 2
+        field, message = exc.path, exc.message
+    except (OSError, MemoryError) as exc:
+        field, message = None, "out of memory" if isinstance(exc, MemoryError) else str(exc)
+    print(json.dumps({"error": {"field": field, "message": message}}), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

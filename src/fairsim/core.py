@@ -2,11 +2,11 @@
 
 Stakes and rewards are integer units so selection tie-breaking is exact;
 merit is a Fraction. Hashes are simulated by an injective encoding, not
-cryptography: nothing downstream depends on hash security.
+cryptography: nothing downstream depends on hash security. No output
+format lives here: ``harness`` writes the chain as chain-<rep>.jsonl.
 """
 from __future__ import annotations
 
-import json
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -19,20 +19,17 @@ GENESIS_HASH = 0
 
 
 class ScenarioError(ValueError):
-    """A run refused, with the field path at fault; the CLI reports it as one
-    JSON line and exit code 2."""
+    """A run refused, with the field path at fault (None when no one field
+    is); the CLI reports it as one JSON line and exit code 2."""
 
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
+    def __init__(self, path: Optional[str], message: str) -> None:
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
 
     def __reduce__(self):
         # rebuilt from both arguments, so one raised in a pool worker unpickles
         return type(self), (self.path, self.message)
-
-    def to_json(self) -> dict:
-        return {"error": {"field": self.path, "message": self.message}}
 
 
 class BehaviorKind(Enum):
@@ -154,48 +151,6 @@ def payload_for_height(height: int, parent_link: int) -> int:
 def simulated_hash(block: Block) -> int:
     """Injective stand-in for a block hash: encodes (payload, height)."""
     return (block.payload_id << 24) + block.height
-
-
-# -- line-oriented JSON trace (one block per line, genesis first) ------------
-
-def genesis_to_json(g: GenesisConfig) -> dict:
-    return {
-        "n": g.n,
-        "population": g.population,
-        "selection": g.selection.value,
-        "reward": g.reward.value,
-        "timeout_policy": g.timeout_policy.value,
-        "initial_stakes": {str(k): v for k, v in sorted(g.initial_stakes.items())},
-        "reward_per_member": g.reward_per_member,
-    }
-
-
-def chain_to_jsonl(bc: Blockchain) -> str:
-    """The chain as JSON lines: ``json.dumps(..., sort_keys=True)`` of the
-    genesis, then of each block, written here from one template per block.
-
-    Block keys are in sorted order, and so are the ``reward_vector`` keys,
-    as strings: ``"10"`` comes before ``"2"``. Committees and reward vectors
-    repeat across heights, so each distinct one is written once.
-    """
-    lines = [json.dumps({"genesis": genesis_to_json(bc.genesis)}, sort_keys=True)]
-    committees: Dict[tuple, str] = {}
-    vectors: Dict[tuple, str] = {}
-    for b in bc.blocks:
-        key = tuple(b.committee)
-        committee = committees.get(key)
-        if committee is None:
-            committee = committees[key] = ", ".join(map(str, key))
-        key = tuple(b.reward_vector.items())
-        rewards = vectors.get(key)
-        if rewards is None:
-            rewards = vectors[key] = ", ".join(f'"{k}": {v}' for k, v in sorted((str(k), v) for k, v in key))
-        lines.append(
-            f'{{"committee": [{committee}], "height": {b.height}, "parent_link": {b.parent_link},'
-            f' "payload_id": {b.payload_id}, "reward_vector": {{{rewards}}}, "rewards_for": {b.height - 1}}}'
-        )
-    lines.append("")
-    return "\n".join(lines)
 
 
 def uniform_merits(population: int) -> Dict[ProcessId, Fraction]:

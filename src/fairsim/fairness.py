@@ -1,5 +1,6 @@
 """Ground-truth analyzer: grades every height against the three reward
-conditions, classifies the whole run and writes the reports as fairness.json.
+conditions and classifies the whole run. ``harness`` writes the reports
+as fairness.json.
 
 The ground truth comes from the behavior schedule, not from what any
 process observed: a member counts as having followed the protocol for a
@@ -107,25 +108,17 @@ def classify(
     if not grades:
         raise InsufficientTrace("no graded heights")
     heights = sorted(grades)
-    horizon = len(heights)
-    if horizon < stabilization_window:
-        raise InsufficientTrace(
-            f"{horizon} graded heights < stabilization window {stabilization_window}"
-        )
-
-    def clean(h: int) -> bool:
-        return all(grades[h])
-
+    if len(heights) < stabilization_window:
+        raise InsufficientTrace(f"{len(heights)} graded heights < stabilization window {stabilization_window}")
     if all(map(all, grades.values())):
         return Classification.FAIR, heights[0]
 
     # maximal clean suffix
     h0 = None
     for h in reversed(heights):
-        if clean(h):
-            h0 = h
-        else:
+        if not all(grades[h]):
             break
+        h0 = h
     if h0 is not None and heights[-1] - h0 + 1 >= stabilization_window:
         return Classification.EVENTUALLY_FAIR, h0
 
@@ -182,58 +175,3 @@ def build_report(
         accurate_rows_ok=all(g[0] and g[2] for g in distinct),
         witnesses=witnesses,
     )
-
-
-# -- fairness.json ---------------------------------------------------------
-
-_JSON_BOOL = {False: "false", True: "true"}
-
-# one (cond1, completeness, accuracy) grade, as it stands in fairness.json
-_GRADE_TEXT = {
-    (cond1, complete, accurate): (
-        f'{{\n          "accuracy": {_JSON_BOOL[accurate]},\n          "completeness": {_JSON_BOOL[complete]},'
-        f'\n          "cond1": {_JSON_BOOL[cond1]}\n        }}'
-    )
-    for cond1, complete, accurate in _GRADES
-}
-
-
-def fairness_json(window: int, reports: Sequence[Tuple[int, FairnessReport]]) -> str:
-    """fairness.json for (replication index, report) pairs: the text
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes for
-    ``{"stabilization_window": window, "replications": [...]}``, one entry
-    per report with its fields and its "replication" index, built as one
-    flat list of pieces joined once."""
-    out = ['{\n  "replications": [']
-    for index, report in reports:
-        out.append(
-            f'\n    {{\n      "accurate_rows_ok": {_JSON_BOOL[report.accurate_rows_ok]},'
-            f'\n      "classification": "{report.classification.value}",'
-            f'\n      "complete_rows_ok": {_JSON_BOOL[report.complete_rows_ok]},\n      "grades": {{'
-        )
-        # keys sort as strings: "10" before "2"
-        for key, grade in sorted((str(h), g) for h, g in report.grades.items()):
-            out.append(f'\n        "{key}": {_GRADE_TEXT[grade]},')
-        _close(out, "\n      }")
-        h0 = "null" if report.h0 is None else report.h0
-        out.append(f',\n      "h0": {h0},\n      "replication": {index},\n      "witnesses": [')
-        for h, pid, condition in report.witnesses:
-            out.append(
-                f'\n        {{\n          "condition": "{condition}",\n          "height": {h},'
-                f'\n          "process": {pid}\n        }},'
-            )
-        _close(out, "\n      ]")
-        out.append("\n    },")
-    _close(out, "\n  ]")
-    out.append(f',\n  "stabilization_window": {window}\n}}\n')
-    return "".join(out)
-
-
-def _close(out: List[str], closer: str) -> None:
-    """End the JSON container that ``out`` has open, whose items each end in
-    a comma: drop the last comma and add ``closer`` (its newline, indent and
-    bracket), or only the bracket after the opening one when it is empty."""
-    if out[-1][-1] in "{[":
-        out[-1] += closer[-1]
-    else:
-        out[-1] = out[-1][:-1] + closer

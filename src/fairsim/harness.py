@@ -4,19 +4,19 @@ Scenarios are JSON documents with an explicit schema version. A run
 executes R independent replications (seed XOR replication index), grades
 each one against the ground truth, and writes its output directory.
 
-``render_outputs`` is the one renderer of that directory. It yields each
+Every file fairsim writes is rendered and written here, and nowhere else.
+``render_outputs`` is the one renderer of a run's directory. It yields each
 file as (name, text), one at a time: scenario-echo.json, one
 chain-<rep>.jsonl per replication (and trace-<rep>.jsonl under --trace),
-rewards.csv, selection.csv, fairness.json and aggregate.csv. The text is
-built from fixed templates, byte for byte what ``json.dumps`` or
-``csv.writer`` would write. ``write_outputs`` writes each file atomically.
-
-``regrade_output_dir`` (``fairsim check``) re-runs the scenario that
-scenario-echo.json echoes, renders the result with ``render_outputs`` and
-compares every file's bytes with the stored one, traces included.
+rewards.csv, selection.csv, fairness.json and aggregate.csv.
+``write_outputs`` writes each file atomically, and the ``write_*``
+functions after it write those of ``fairsim figure`` and ``fairsim check``.
+``regrade_output_dir`` (``fairsim check``) renders a re-run of the scenario
+that scenario-echo.json echoes and compares each file with the stored one.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -29,6 +29,7 @@ from .core import (
     EMPTY_MAPPING,
     BehaviorKind,
     BehaviorRules,
+    Blockchain,
     DEFAULT_STAKE,
     GenesisConfig,
     ProcessId,
@@ -37,12 +38,12 @@ from .core import (
     ScenarioError,
     SelectionMechanismId,
     TimeoutPolicy,
-    chain_to_jsonl,
     uniform_merits,
 )
-from .fairness import FairnessReport, GroundTruth, build_report, fairness_json
+from .fairness import FairnessReport, GroundTruth, build_report
 from .network import Asynchronous, EventuallySynchronous, GoodBad, Synchronous
 from .reward import RewardMatrix
+from .selection import SelectionStats
 
 SCHEMA_VERSION = 1
 # the keys a scenario document and its genesis object may hold
@@ -139,7 +140,8 @@ def parse_scenario(doc: dict, seed: Optional[int] = None, replications: Optional
         if not (
             isinstance(merits_doc, list)
             and len(merits_doc) == size
-            and all(type(m) in (int, float) and math.isfinite(m) and m >= 0 for m in merits_doc)
+            # only a float can be infinite; math.isfinite overflows on an int too large for one
+            and all((type(m) is int or type(m) is float and math.isfinite(m)) and m >= 0 for m in merits_doc)
         ):
             raise ScenarioError("population.merits", f"must be a list of {size} non-negative numbers")
         merits = {pid: Fraction(m).limit_denominator(10**9) for pid, m in enumerate(merits_doc)}
@@ -324,21 +326,12 @@ class ScenarioResult(NamedTuple):
 
 def static_fairness_flags(mech: RewardMechanismId) -> tuple:
     """(complete-by-construction, accurate-by-construction)."""
-    return (
-        mech is RewardMechanismId.REWARD_ALL_COMMITTEE,
-        mech is RewardMechanismId.NEVER_REWARD,
-    )
+    return mech is RewardMechanismId.REWARD_ALL_COMMITTEE, mech is RewardMechanismId.NEVER_REWARD
 
 
 def grade(scenario: Scenario, matrix: RewardMatrix) -> FairnessReport:
-    static_complete, static_accurate = static_fairness_flags(scenario.genesis.reward)
-    return build_report(
-        matrix=matrix,
-        truth=GroundTruth.from_specs(scenario.specs),
-        stabilization_window=scenario.window,
-        static_complete=static_complete,
-        static_accurate=static_accurate,
-    )
+    truth = GroundTruth.from_specs(scenario.specs)
+    return build_report(matrix, truth, scenario.window, *static_fairness_flags(scenario.genesis.reward))
 
 
 def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) -> ReplicationResult:
@@ -449,9 +442,6 @@ def _flags_and_mean(committee: Sequence[ProcessId], vector: Dict[ProcessId, int]
 
 # chain and trace names take the replication index; _CHECK is the summary fairsim check writes
 _ECHO, _CHAIN, _TRACE, _CHECK = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl", "fairness-check.json"
-# fairsim figure writes selection.csv alone for a selection figure, and
-# figure.csv beside a run's files for ev-sync-rewards
-_SELECTION, _FIGURE = "selection.csv", "figure.csv"
 # the names _CHAIN and _TRACE give
 _REP_FILE = re.compile(r"(chain|trace)-([0-9]{3}|[1-9][0-9]{3,})\.jsonl")
 
@@ -462,11 +452,54 @@ _AGGREGATE_HEAD = (
 )
 
 
-def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data.encode("utf-8"))
-    os.replace(tmp, path)
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write file ``name`` of ``out_dir`` atomically, through a .tmp file."""
+    path = os.path.join(out_dir, name)
+    with open(path + ".tmp", "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    os.replace(path + ".tmp", path)
+
+
+# -- chain-<rep>.jsonl: one block per line, genesis first -------------------
+
+def genesis_to_json(g: GenesisConfig) -> dict:
+    return {
+        "n": g.n,
+        "population": g.population,
+        "selection": g.selection.value,
+        "reward": g.reward.value,
+        "timeout_policy": g.timeout_policy.value,
+        "initial_stakes": {str(k): v for k, v in sorted(g.initial_stakes.items())},
+        "reward_per_member": g.reward_per_member,
+    }
+
+
+def chain_to_jsonl(bc: Blockchain) -> str:
+    """The chain as JSON lines: ``json.dumps(..., sort_keys=True)`` of the
+    genesis, then of each block, written here from one template per block.
+
+    Block keys are in sorted order, and so are the ``reward_vector`` keys,
+    as strings: ``"10"`` comes before ``"2"``. Committees and reward vectors
+    repeat across heights, so each distinct one is written once.
+    """
+    lines = [json.dumps({"genesis": genesis_to_json(bc.genesis)}, sort_keys=True)]
+    committees: Dict[tuple, str] = {}
+    vectors: Dict[tuple, str] = {}
+    for b in bc.blocks:
+        key = tuple(b.committee)
+        committee = committees.get(key)
+        if committee is None:
+            committee = committees[key] = ", ".join(map(str, key))
+        key = tuple(b.reward_vector.items())
+        rewards = vectors.get(key)
+        if rewards is None:
+            rewards = vectors[key] = ", ".join(f'"{k}": {v}' for k, v in sorted((str(k), v) for k, v in key))
+        lines.append(
+            f'{{"committee": [{committee}], "height": {b.height}, "parent_link": {b.parent_link},'
+            f' "payload_id": {b.payload_id}, "reward_vector": {{{rewards}}}, "rewards_for": {b.height - 1}}}'
+        )
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _rewards_csv(reps: Sequence[ReplicationResult]) -> str:
@@ -505,6 +538,61 @@ def _selection_counts(matrix: RewardMatrix, population: int) -> Tuple[Dict[Proce
     return dict(enumerate(counts)), numbers[-1][0] if numbers else 0
 
 
+# -- fairness.json ---------------------------------------------------------
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+# one (cond1, completeness, accuracy) grade, as it stands in fairness.json
+_GRADE_TEXT = {
+    (cond1, complete, accurate): (
+        f'{{\n          "accuracy": {_JSON_BOOL[accurate]},\n          "completeness": {_JSON_BOOL[complete]},'
+        f'\n          "cond1": {_JSON_BOOL[cond1]}\n        }}'
+    )
+    for cond1, complete, accurate in itertools.product((False, True), repeat=3)
+}
+
+
+def fairness_json(window: int, reports: Sequence[Tuple[int, FairnessReport]]) -> str:
+    """fairness.json for (replication index, report) pairs: the text
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes for
+    ``{"stabilization_window": window, "replications": [...]}``, one entry
+    per report with its fields and its "replication" index, built as one
+    flat list of pieces joined once."""
+    out = ['{\n  "replications": [']
+    for index, report in reports:
+        out.append(
+            f'\n    {{\n      "accurate_rows_ok": {_JSON_BOOL[report.accurate_rows_ok]},'
+            f'\n      "classification": "{report.classification.value}",'
+            f'\n      "complete_rows_ok": {_JSON_BOOL[report.complete_rows_ok]},\n      "grades": {{'
+        )
+        # keys sort as strings: "10" before "2"
+        for key, grade in sorted((str(h), g) for h, g in report.grades.items()):
+            out.append(f'\n        "{key}": {_GRADE_TEXT[grade]},')
+        _close(out, "\n      }")
+        h0 = "null" if report.h0 is None else report.h0
+        out.append(f',\n      "h0": {h0},\n      "replication": {index},\n      "witnesses": [')
+        for h, pid, condition in report.witnesses:
+            out.append(
+                f'\n        {{\n          "condition": "{condition}",\n          "height": {h},'
+                f'\n          "process": {pid}\n        }},'
+            )
+        _close(out, "\n      ]")
+        out.append("\n    },")
+    _close(out, "\n  ]")
+    out.append(f',\n  "stabilization_window": {window}\n}}\n')
+    return "".join(out)
+
+
+def _close(out: List[str], closer: str) -> None:
+    """End the JSON container that ``out`` has open, whose items each end in
+    a comma: drop the last comma and add ``closer`` (its newline, indent and
+    bracket), or only the bracket after the opening one when it is empty."""
+    if out[-1][-1] in "{[":
+        out[-1] += closer[-1]
+    else:
+        out[-1] = out[-1][:-1] + closer
+
+
 def _aggregate_csv(aggregate: Dict[int, tuple]) -> str:
     out = [_AGGREGATE_HEAD]
     # triple -> (that triple, its text); 0.0 and -0.0 are equal but print
@@ -539,7 +627,7 @@ def render_outputs(result: ScenarioResult) -> Iterator[Tuple[str, str]]:
     yield "rewards.csv", _rewards_csv(reps)
 
     counts, total_heights = _selection_counts(reps[0].result.matrix, scenario.genesis.population)
-    yield _SELECTION, selection_csv(counts, total_heights, {s.id: s.merit for s in scenario.specs})
+    yield "selection.csv", selection_csv(counts, total_heights, {s.id: s.merit for s in scenario.specs})
 
     yield "fairness.json", fairness_json(scenario.window, [(rr.index, rr.report) for rr in reps])
     yield "aggregate.csv", _aggregate_csv(result.aggregate)
@@ -551,11 +639,32 @@ def write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     written = set()
     for name, text in render_outputs(result):
-        _atomic_write(os.path.join(out_dir, name), text)
+        _write(out_dir, name, text)
         written.add(name)
     for name in os.listdir(out_dir):
         if name not in written and (name == _CHECK or _REP_FILE.fullmatch(name)):
             os.remove(os.path.join(out_dir, name))
+
+
+def write_selection_figure(stats: SelectionStats, out_dir: str) -> None:
+    """selection.csv of a selection-only run, alone in ``out_dir``; all merits are equal."""
+    os.makedirs(out_dir, exist_ok=True)
+    merits = uniform_merits(len(stats.counts))
+    _write(out_dir, "selection.csv", selection_csv(stats.counts, stats.total_heights, merits))
+
+
+def write_figure_csv(result: ScenarioResult, out_dir: str) -> None:
+    """figure.csv beside a run's files: each height's mean reward parameter, and it -/+ std_all."""
+    lines = ["height,mean,mean_minus_std,mean_plus_std\r\n"]
+    for h, (mean, std_all, _) in sorted(result.aggregate.items()):
+        lines.append(f"{h},{mean!r},{mean - std_all!r},{mean + std_all!r}\r\n")
+    _write(out_dir, "figure.csv", "".join(lines))
+
+
+def write_check_summary(summary: dict, out_dir: str) -> str:
+    """Write ``regrade_output_dir``'s summary into ``out_dir``; return the file's name."""
+    _write(out_dir, _CHECK, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return _CHECK
 
 
 # -- check -------------------------------------------------------------------
@@ -588,7 +697,7 @@ def regrade_output_dir(out_dir: str) -> dict:
     try:
         result = run_scenario(parse_scenario(doc), record_trace=traced)
     except ScenarioError as exc:
-        raise MalformedOutput(_ECHO, f"{exc.path}: {exc.message}" if exc.path else exc.message) from None
+        raise MalformedOutput(_ECHO, str(exc)) from None
 
     files = {}
     for name, text in render_outputs(result):

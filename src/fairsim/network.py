@@ -193,7 +193,7 @@ class EventQueue:
     replications 1.27x slower on wide-committee and 1.12x on long-horizon.
     """
 
-    __slots__ = ("clock", "_buckets", "_ticks", "_current", "_drain", "_later")
+    __slots__ = ("clock", "_buckets", "_ticks", "_current", "_drain")
 
     def __init__(self) -> None:
         self.clock: SimTime = 0
@@ -201,11 +201,10 @@ class EventQueue:
         self._ticks: List[SimTime] = []  # heap of the keys of _buckets
         self._current: list = []  # the events of tick ``clock``
         self._drain = iter(self._current)
-        self._later = 0  # events in _buckets
 
     def __len__(self) -> int:
-        # a list iterator's length hint is exactly the items it has left
-        return self._later + self._drain.__length_hint__()
+        # later ticks' events, then the current tick's left: a list iterator's length hint is exact
+        return sum(map(len, self._buckets.values())) + self._drain.__length_hint__()
 
     def push(self, at: SimTime, event) -> None:
         if at == self.clock:
@@ -219,7 +218,6 @@ class EventQueue:
             heappush(self._ticks, at)
         else:
             bucket.append(event)
-        self._later += 1
 
     def pop(self) -> Tuple[SimTime, object]:
         for event in self._drain:  # the next event of tick ``clock``, if any
@@ -232,7 +230,6 @@ class EventQueue:
             raise ExhaustedQueue
         at = heappop(self._ticks)
         current = self._current = self._buckets.pop(at)
-        self._later -= len(current)
         self._drain = drain = iter(current)
         self.clock = at
         return at, next(drain)

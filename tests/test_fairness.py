@@ -9,9 +9,9 @@ from fairsim.fairness import (
     InsufficientTrace,
     build_report,
     classify,
-    fairness_json,
     grade_height,
 )
+from fairsim.harness import fairness_json
 from fairsim.reward import RewardMatrix, RewardsNotYetAllocated
 
 

@@ -18,7 +18,8 @@ import pytest
 
 from fairsim.cli import main as cli_main
 from fairsim.core import RewardMechanismId
-from fairsim.scenarios import BUILTIN, static_matrix
+from fairsim.harness import parse_scenario, run_scenario
+from fairsim.scenarios import BUILTIN, builtin_scenario, evsync_rewards_figure, static_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 FIGURES = ("selection-highest", "selection-lowest", "ev-sync-rewards")
@@ -126,6 +127,32 @@ def test_outputs_match_golden_digests(name, tmp_path, capsys):
     got = digests(name, tmp_path)
     capsys.readouterr()  # keep the CLI's progress lines out of the -rP report
     assert got == json.loads(GOLDEN.read_text())[name]
+
+
+def _engine_documents():
+    """(name, scenario document) of every run in RUNS that runs the engine."""
+    for name, spec in sorted(RUNS.items()):
+        if isinstance(spec, dict):
+            yield name, spec
+        elif spec[0] == "run":
+            yield name, builtin_scenario(spec[2])
+        elif spec[1] == "ev-sync-rewards":
+            yield name, evsync_rewards_figure()
+
+
+def test_row_numbering_finds_every_shared_row():
+    """RewardMatrix numbers a row by looking two heights back for its very
+    committee and vector; on every engine run here that finds each pair of
+    objects that recurs, so work done once per number is done once per
+    distinct row. This fails if the engine's sharing drifts from the lookback."""
+    names = set()
+    for name, doc in _engine_documents():
+        for rr in run_scenario(parse_scenario(doc)).replications:
+            m = rr.result.matrix
+            distinct = {(id(m.committee(h)), id(m.row(h))) for h in m.heights()}
+            assert len(m.pairs()) == len(distinct), (name, rr.index)
+        names.add(name)
+    assert len(names) == len(RUNS) - 2  # all but the two selection-only figures
 
 
 if __name__ == "__main__":

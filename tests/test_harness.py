@@ -271,6 +271,18 @@ def test_an_internal_key_error_is_not_reported_as_a_user_error(tmp_path, monkeyp
         cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(tmp_path / "o")])
 
 
+def test_an_internal_value_error_is_not_reported_as_a_user_error(tmp_path, monkeypatch):
+    """A ValueError inside the engine, such as a refused timestamp or reward
+    row, is a bug as well: only the errors of reading and decoding the
+    scenario file are reported as one JSON line."""
+    def broken(self, pid, h, t):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(SimulationEngine, "_on_collect", broken)
+    with pytest.raises(ValueError, match="broken"):
+        cli_main(["run", "--builtin", "sync-suspicion-equivocator", "--out", str(tmp_path / "o")])
+
+
 def test_run_scenario_writes_expected_files(tmp_path):
     sc = parse_scenario(_doc(replications=2))
     run_scenario(sc, out_dir=str(tmp_path))
@@ -824,9 +836,19 @@ def test_cli_os_error_is_one_json_line(tmp_path, capsys, args):
     assert str(tmp_path) in json.loads(lines[0])["error"]["message"]
 
 
-def test_cli_deeply_nested_scenario_is_one_json_line(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text(_DEEP_JSON)
+@pytest.mark.parametrize(
+    "data",
+    [
+        _DEEP_JSON.encode(),  # nested past the recursion limit
+        b"{not json",
+        b"",
+        '{"schema_version": 1, "name": "caf\u00e9"}'.encode("latin-1"),  # not UTF-8
+    ],
+    ids=["deeply-nested", "not-json", "empty", "latin-1"],
+)
+def test_cli_unreadable_scenario_file_is_one_json_line(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
     assert cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -1019,6 +1041,8 @@ def _over_byzantine_bound(doc):
         ("population.merits", lambda doc: doc["population"].update(merits=["x", 1, 1, 1])),
         ("population.merits", lambda doc: doc["population"].update(merits=[2, -1, 0, 0])),
         ("population.merits", lambda doc: doc["population"].update(merits=None)),
+        # an integer too large for a float
+        ("population.merits", lambda doc: doc["population"].update(merits=[10**400, 0, 0, 0])),
         ("population.behaviors[0].heights", _heights(["a"])),
         ("max_height", lambda doc: doc.pop("max_height")),
         ("population", lambda doc: doc.update(population=5)),

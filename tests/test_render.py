@@ -17,11 +17,10 @@ from fairsim.core import (
     RewardMechanismId,
     SelectionMechanismId,
     TimeoutPolicy,
-    chain_to_jsonl,
-    genesis_to_json,
 )
-from fairsim.fairness import Classification, FairnessReport, fairness_json
+from fairsim.fairness import Classification, FairnessReport
 from fairsim.harness import ReplicationResult, _aggregate_csv, _rewards_csv, _trace_jsonl, selection_csv
+from fairsim.harness import chain_to_jsonl, fairness_json, genesis_to_json
 from fairsim.network import MessageKind
 from fairsim.reward import RewardMatrix
 from oracles import report_json
