@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument("--reps", type=int, default=None, help="override the replication count")
-    run.add_argument("--jobs", type=int, default=1, help="parallel replication workers")
+    run.add_argument("--jobs", type=int, default=1, help="processes that share the replications")
     run.add_argument("--trace", action="store_true", help="record message traces")
 
     fig = sub.add_parser("figure", help="reproduce a named figure dataset")

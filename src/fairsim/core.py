@@ -28,7 +28,7 @@ class ScenarioError(ValueError):
         self.message = message
 
     def __reduce__(self):
-        # rebuilt from both arguments, so one raised in a pool worker unpickles
+        # rebuilt from both arguments, so one raised in a child process unpickles
         return type(self), (self.path, self.message)
 
 

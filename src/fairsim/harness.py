@@ -3,6 +3,10 @@
 Scenarios are JSON documents with an explicit schema version. A run
 executes R independent replications (seed XOR replication index), grades
 each one against the ground truth, and writes its output directory.
+``run_scenario(..., jobs=J)`` runs share 0 of min(J, R) strided shares here
+and each other share in a child process, which re-parses the document and
+sends its results through a pipe. A failure raises the exception of the
+lowest-numbered failing replication, as a serial run would.
 
 Every file fairsim writes is rendered and written here, and nowhere else.
 ``render_outputs`` is the one renderer of a run's directory. It yields each
@@ -348,9 +352,19 @@ def run_replication(scenario: Scenario, rep: int, record_trace: bool = False) ->
     return ReplicationResult(index=rep, result=result, report=grade(scenario, result.matrix))
 
 
-def _run_rep_task(args) -> ReplicationResult:
-    doc, rep, record_trace = args
-    return run_replication(parse_scenario(doc), rep, record_trace)
+def _run_share(scenario: Scenario, share: range, record_trace: bool):
+    """The share's results, or (index, exception) of its first replication to raise."""
+    results = []
+    for rep in share:
+        try:
+            results.append(run_replication(scenario, rep, record_trace))
+        except Exception as exc:
+            return rep, exc
+    return results
+
+
+def _send_share(doc: dict, share: range, record_trace: bool, conn) -> None:
+    conn.send(_run_share(parse_scenario(doc), share, record_trace))
 
 
 def run_scenario(
@@ -359,18 +373,33 @@ def run_scenario(
     jobs: int = 1,
     record_trace: bool = False,
 ) -> ScenarioResult:
-    reps: List[ReplicationResult]
-    if jobs > 1 and scenario.replications > 1:
-        # imported here because it loads multiprocessing, which a serial run
-        # never needs; the pool forks all its workers up front, so no more
-        # than there are replications
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(scenario.raw, rep, record_trace) for rep in range(scenario.replications)]
-        with ProcessPoolExecutor(max_workers=min(jobs, scenario.replications)) as pool:
-            reps = list(pool.map(_run_rep_task, tasks))
-    else:
-        reps = [run_replication(scenario, rep, record_trace) for rep in range(scenario.replications)]
+    count = scenario.replications
+    j = max(1, min(jobs, count))
+    children = []
+    shares: list = [None] * j
+    try:
+        if j > 1:
+            from multiprocessing import Pipe, Process  # here because a serial run never needs them
+            for k in range(1, j):
+                recv, send = Pipe(duplex=False)
+                child = Process(target=_send_share, args=(scenario.raw, range(k, count, j), record_trace, send))
+                child.start()
+                send.close()
+                children.append((child, recv))
+        shares[0] = _run_share(scenario, range(0, count, j), record_trace)
+    finally:
+        for k, (child, recv) in enumerate(children, 1):
+            with recv:  # read before joining: a child blocks in send until then
+                try:
+                    shares[k] = recv.recv()
+                except EOFError:
+                    child.join()
+                    shares[k] = k, ChildProcessError(f"a replication process exited with code {child.exitcode}")
+            child.join()
+    failures = [share for share in shares if isinstance(share, tuple)]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    reps = sorted(itertools.chain.from_iterable(shares), key=lambda rr: rr.index)
 
     aggregate = compute_aggregate(scenario, reps)
     out = ScenarioResult(scenario=scenario, replications=reps, aggregate=aggregate)

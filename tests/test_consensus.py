@@ -180,7 +180,8 @@ def test_too_many_byzantine_rejected():
     }
     with pytest.raises(QuorumImpossible) as exc:
         _run(behaviors, max_height=2)
-    # a scenario error at the behaviours, which survives a pool worker's pickling
+    # a scenario error at the behaviours, which survives the pickling that
+    # sends it from a --jobs child process
     assert isinstance(exc.value, ScenarioError)
     copy = pickle.loads(pickle.dumps(exc.value))
     assert type(copy) is QuorumImpossible

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairsim.cli
+import fairsim.harness
 from fairsim.cli import main as cli_main
 from fairsim.consensus import EngineConfig, SimulationEngine
 from fairsim.core import EMPTY_MAPPING, BehaviorKind, TimeoutPolicy
@@ -232,7 +234,8 @@ def test_the_schedule_matches_its_per_height_expansion(data):
 
 def test_select_all_refusal_through_the_pool_is_one_json_line(tmp_path, capsys):
     """A select_all committee over the Byzantine bound at height 3 is refused
-    by the engine when that height opens, in a pool worker under --jobs 2,
+    by the engine when that height opens, in the calling process and in a
+    child under --jobs 2,
     with the line a refusal at parse time gave; nothing is written."""
     doc = _doc(max_height=10)
     doc["population"]["behaviors"] = [{"process": p, "kind": "silent", "heights": [3]} for p in (1, 2)]
@@ -355,7 +358,7 @@ def _round_robin_never_reward() -> dict:
 
 
 def _pickled(doc: dict) -> ScenarioResult:
-    # the process pool pickles each replication, which gives its objects new ids
+    # a --jobs child process pickles its replications, which gives their objects new ids
     result = run_scenario(parse_scenario(doc))
     return result._replace(replications=[pickle.loads(pickle.dumps(rr)) for rr in result.replications])
 
@@ -721,59 +724,115 @@ def test_height_records_outlive_their_queued_bogus_copies():
     assert peaks[0] == peaks[1]
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    sc = parse_scenario(_doc(replications=3))
-    serial_res = run_scenario(sc, out_dir=str(tmp_path / "serial"))
-    parallel_res = run_scenario(sc, out_dir=str(tmp_path / "parallel"), jobs=2)
+@pytest.mark.parametrize("jobs, reps", [(2, 3), (3, 5), (5, 5)])
+def test_parallel_jobs_match_serial(tmp_path, jobs, reps):
+    # (3, 5) gives uneven shares: replications 0 and 3, 1 and 4, and 2
+    sc = parse_scenario(_doc(replications=reps))
+    serial_res = run_scenario(sc, out_dir=str(tmp_path / "serial"), record_trace=True)
+    parallel_res = run_scenario(sc, out_dir=str(tmp_path / "parallel"), jobs=jobs, record_trace=True)
+    assert [rr.index for rr in parallel_res.replications] == list(range(reps))
     for a, b in zip(serial_res.replications, parallel_res.replications, strict=True):
         assert a.result.decided_at == b.result.decided_at
     serial = _files(tmp_path / "serial")
-    assert "chain-002.jsonl" in serial
+    assert f"trace-{reps - 1:03d}.jsonl" in serial
     assert _files(tmp_path / "parallel") == serial
 
 
-@pytest.mark.parametrize("jobs, reps, workers", [(500, 2, 2), (3, 5, 3), (2, 2, 2)])
-def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, reps, workers):
-    import concurrent.futures
+def test_spawned_children_match_serial(tmp_path, capsys):
+    """Under the spawn start method a child shares no memory with the caller
+    and runs its share from the scenario document it re-parses."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_doc(max_height=8)))
+    args = ["run", "--scenario", str(path), "--reps", "3", "--trace", "--out"]
+    assert cli_main(args + [str(tmp_path / "serial")]) == 0
+    code = (
+        "import multiprocessing, sys; from fairsim.cli import main; "
+        "multiprocessing.set_start_method('spawn'); sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", code, *args, str(tmp_path / "spawned"), "--jobs", "2"]
+    subprocess.run(argv, capture_output=True, timeout=120, env=env, check=True)
+    assert _files(tmp_path / "spawned") == _files(tmp_path / "serial")
 
-    from fairsim import harness
 
-    sizes = []
+@pytest.mark.parametrize("jobs, reps", [(500, 2), (3, 5), (2, 2), (1, 3)])
+def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, reps):
+    """The caller runs one share and min(jobs, reps) - 1 child processes the
+    others; each child has exited and been joined when the run returns."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
 
-    class Pool:
-        """Records its size and runs the tasks in-process, starting none."""
+    def counted(process):
+        started.append(process)
+        start(process)
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # patched where the pool is imported from and in harness itself, so
-    # that no real pool starts whichever way harness imports it
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool, raising=False)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
     doc = tmp_path / "s.json"
     doc.write_text(json.dumps(_doc(max_height=6)))
     args = ["run", "--scenario", str(doc), "--out", str(tmp_path / "o"), "--jobs", str(jobs), "--reps", str(reps)]
     assert cli_main(args) == 0
-    assert sizes == [workers]
+    assert len(started) == min(jobs, reps) - 1
+    assert [process.exitcode for process in started] == [0] * len(started)
+    assert not multiprocessing.active_children()
     assert (tmp_path / "o" / f"chain-{reps - 1:03d}.jsonl").exists()
 
 
 def test_importing_the_cli_does_not_load_the_process_pool():
-    # a serial run never needs multiprocessing, so the pool is imported on
-    # the jobs > 1 path only
-    code = "import sys, fairsim.cli; print('concurrent.futures.process' in sys.modules)"
+    # a serial run never needs multiprocessing, so harness imports it on the
+    # jobs > 1 path only
+    code = "import sys, fairsim.cli; print('multiprocessing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the tests below patch harness.run_replication, which a child inherits only
+# when it is forked
+_FORKED = pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork", reason="child processes are not forked by default"
+)
+
+
+@_FORKED
+@pytest.mark.parametrize("failing", [(1, 2), (0, 3)])
+def test_every_jobs_value_reports_the_lowest_failing_replication(tmp_path, monkeypatch, capsys, failing):
+    """As a serial run would: with --jobs 2 and {1, 2} failing, the caller's
+    share fails at 2 and the child's at 1; with {0, 3}, the other way round."""
+    run_replication = fairsim.harness.run_replication
+
+    def refusing(scenario, rep, record_trace=False):
+        if rep in failing:
+            raise ScenarioError(f"replication {rep}", "refused")
+        return run_replication(scenario, rep, record_trace)
+
+    monkeypatch.setattr(fairsim.harness, "run_replication", refusing)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_doc(max_height=6)))
+    expected = json.dumps({"error": {"field": f"replication {min(failing)}", "message": "refused"}})
+    for jobs in ("1", "2", "3"):
+        args = ["run", "--scenario", str(path), "--reps", "4", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [expected], jobs
+        assert not multiprocessing.active_children(), jobs
+        assert not (tmp_path / jobs).exists()
+
+
+@_FORKED
+def test_a_child_that_exits_without_sending_is_one_json_line(tmp_path, monkeypatch, capsys):
+    run_replication, caller = fairsim.harness.run_replication, os.getpid()
+
+    def exiting(scenario, rep, record_trace=False):
+        if os.getpid() != caller:
+            os._exit(3)
+        return run_replication(scenario, rep, record_trace)
+
+    monkeypatch.setattr(fairsim.harness, "run_replication", exiting)
+    args = ["run", "--builtin", "goodbad-laggard", "--reps", "3", "--jobs", "2", "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 2
+    expected = {"error": {"field": None, "message": "a replication process exited with code 3"}}
+    assert capsys.readouterr().err.splitlines() == [json.dumps(expected)]
+    assert not multiprocessing.active_children()
+    assert not (tmp_path / "o").exists()
 
 
 # -- command line -----------------------------------------------------------
@@ -1111,7 +1170,7 @@ def test_a_document_of_only_required_fields_parses_to_the_defaults(model):
 def test_cli_byzantine_committee_in_the_engine_is_one_json_line_with_and_without_the_pool(tmp_path, capsys):
     # round robin puts processes 0-3 on the committee of height 3, where 0 and
     # 1 are silent; a committee smaller than the population is checked by the
-    # engine, so with --jobs 2 the error is raised in a pool worker
+    # engine, so with --jobs 2 the error is raised by the caller and by a child
     doc = {
         "schema_version": 1,
         "name": "refused-at-height-3",
