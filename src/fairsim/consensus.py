@@ -14,7 +14,8 @@ decides. Everything the fairness analysis cares about is the timing of
 the messages around decisions, which this preserves.
 
 A height opens when its parent block lands: appending block h fixes height
-h+1's committee, parent link and valid payload (height 1 opens on genesis).
+h+1's committee, parent link, valid payload and who is faulty, read from the
+``GroundTruth`` that the analyzer grades against (height 1 opens on genesis).
 A GST set by ``gst_height`` follows the handler that decides block
 gst_height - 1.
 
@@ -67,6 +68,7 @@ from .core import (
     payload_for_height,
     simulated_hash,
 )
+from .fairness import GroundTruth
 from .network import (
     EventQueue,
     ExhaustedQueue,
@@ -184,10 +186,9 @@ class _Height:
     __slots__ = ("committee", "faulty", "members", "order", "quorum", "evidence", "parent_link", "payload",
                  "reward", "started", "accused", "bogus")
 
-    def __init__(self, h: int, committee: List[ProcessId], parent_link: int, scheduled: Sequence[ProcessSpec]) -> None:
+    def __init__(self, h: int, committee: List[ProcessId], parent_link: int, faulty: Dict[ProcessId, BehaviorKind]) -> None:
         self.committee = committee
-        # each process not correct at h, member or not -> its kind
-        self.faulty = {s.id: kind for s in scheduled if (kind := s.behavior_at(h)) is not _CORRECT}
+        self.faulty = faulty  # each process not correct at h, member or not -> its kind
         self.members = frozenset(committee)
         self.order = sorted(committee)
         self.quorum = quorum_size(len(committee))
@@ -215,7 +216,7 @@ class SimulationEngine:
         config: EngineConfig = None,
         record_trace: bool = False,
     ) -> None:
-        self._scheduled = [s for s in specs if s.behavior]  # only these can be faulty at some height
+        self._truth = GroundTruth.from_specs(specs)
         self.genesis = genesis
         self.model = model
         self.max_height = max_height
@@ -247,7 +248,7 @@ class SimulationEngine:
 
     def _open(self, h: int, parent_link: int) -> None:
         """Fix height h's committee, faults and valid payload once ``parent_link``'s block h-1 has landed."""
-        info = _Height(h, self._sel_state.committee(h), parent_link, self._scheduled)
+        info = _Height(h, self._sel_state.committee(h), parent_link, self._truth.faulty(h))
         check_committee(info.committee, info.faulty, h)
         self._heights[h] = info
 

@@ -92,9 +92,6 @@ class ProcessSpec(NamedTuple):
     initial_stake: int
     behavior: BehaviorRules | Mapping[int, BehaviorKind] = EMPTY_MAPPING
 
-    def behavior_at(self, height: int) -> BehaviorKind:
-        return self.behavior.get(height, BehaviorKind.CORRECT)
-
 
 class GenesisConfig(NamedTuple):
     """Public run configuration every process knows up front."""

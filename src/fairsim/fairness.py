@@ -2,15 +2,15 @@
 conditions and classifies the whole run. ``harness`` writes the reports
 as fairness.json.
 
-The ground truth comes from the behavior schedule, not from what any
-process observed: a member counts as having followed the protocol for a
-height iff it was scheduled correct there.
+The ground truth is the behavior schedule, which ``GroundTruth.faulty``
+alone reads: the engine acts on the same schedule that the analyzer grades
+against, not on what any process observed.
 """
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import BehaviorKind, ProcessId, ProcessSpec
 from .reward import RewardMatrix
@@ -33,9 +33,10 @@ class GroundTruth:
         # only a process with a behaviour schedule can be faulty
         return cls([spec for spec in specs if spec.behavior])
 
-    def faulty(self, height: int) -> FrozenSet[ProcessId]:
-        """The processes that did not follow the protocol at ``height``."""
-        return frozenset(s.id for s in self._scheduled if s.behavior_at(height) is not BehaviorKind.CORRECT)
+    def faulty(self, height: int) -> Dict[ProcessId, BehaviorKind]:
+        """Each process that did not follow the protocol at ``height`` -> its kind, in spec order."""
+        correct = BehaviorKind.CORRECT
+        return {s.id: kind for s in self._scheduled if (kind := s.behavior.get(height, correct)) is not correct}
 
     def followed_protocol(self, height: int, pid: ProcessId) -> bool:
         return pid not in self.faulty(height)
@@ -58,14 +59,14 @@ def grade_height(
     the rewarded set is within the committee; ``population`` is not needed
     for that.
     """
-    return _grade(matrix.rewarded(height), set(committee), truth.faulty(height))
+    return _grade(matrix.rewarded(height), set(committee), truth.faulty(height).keys())
 
 
 #: the eight grades, each one shared tuple, so a long run's grades cost a pointer per height
 _GRADES = {grade: grade for grade in itertools.product((False, True), repeat=3)}
 
 
-def _grade(rewarded: Set[ProcessId], members: Set[ProcessId], faulty: FrozenSet[ProcessId]) -> HeightGrade:
+def _grade(rewarded: Set[ProcessId], members: Set[ProcessId], faulty: AbstractSet[ProcessId]) -> HeightGrade:
     # cond1: no non-member is rewarded; completeness: every member that
     # followed the protocol is; accuracy: no member that did not is
     return _GRADES[rewarded <= members, members - faulty <= rewarded, rewarded.isdisjoint(members & faulty)]
@@ -139,20 +140,20 @@ def build_report(
     """Grade every allocated height of ``matrix`` against its committee and classify the run.
 
     A height's grade and witnesses follow from its row and its faulty set,
-    so each distinct (row number, faulty set) is graded once."""
+    so each distinct (row number, *faulty processes) is graded once."""
     rows = [
         (committee, set(committee), {pid for pid, amt in vector.items() if amt > 0})
         for committee, vector in matrix.pairs()
     ]
-    graded = {}  # (row number, faulty set) -> (its grade, its witnesses as (pid, condition))
+    graded = {}  # (row number, *faulty processes) -> (its grade, its witnesses as (pid, condition))
     grades: Dict[int, HeightGrade] = {}
     witnesses: List[Tuple[int, ProcessId, str]] = []
     for h, number in matrix.numbers():
         faulty = truth.faulty(h)
-        found = graded.get((number, faulty))
+        found = graded.get(key := (number, *faulty))
         if found is None:
             committee, members, rewarded = rows[number]
-            grade = _grade(rewarded, members, faulty)
+            grade = _grade(rewarded, members, faulty.keys())
             why = []
             if not grade[0]:
                 why.extend((pid, "cond1") for pid in sorted(rewarded - members))
@@ -160,7 +161,7 @@ def build_report(
                 why.extend((pid, "completeness") for pid in committee if pid not in faulty and pid not in rewarded)
             if not grade[2]:
                 why.extend((pid, "accuracy") for pid in committee if pid in faulty and pid in rewarded)
-            found = graded[number, faulty] = (grade, why)
+            found = graded[key] = (grade, why)
         grades[h] = found[0]
         if found[1]:
             witnesses.extend((h, pid, condition) for pid, condition in found[1])

@@ -1,4 +1,5 @@
 import csv
+import faulthandler
 import hashlib
 import json
 import multiprocessing
@@ -39,6 +40,19 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # a JSON document nested 100,000 deep
 _DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.fixture
+def time_limit(capsys):
+    """Give a test that starts --jobs children 60 s, then end the whole run
+    with exit code 1 and every thread's stack on the terminal: a deadlocked
+    fan-out then fails the suite instead of hanging it."""
+    with capsys.disabled():
+        stderr = os.dup(2)  # the terminal, not the capture
+    faulthandler.dump_traceback_later(60, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    os.close(stderr)
 
 
 def _doc(**overrides):
@@ -131,8 +145,8 @@ def _behaviors(heights, max_height=20):
     when one silent behaviour names ``heights``."""
     doc = _doc(max_height=max_height)
     doc["population"]["behaviors"] = [{"process": 1, "kind": "silent", "heights": heights}]
-    spec = parse_scenario(doc).specs[1]
-    return [spec.behavior_at(h) for h in range(1, max_height + 2)]
+    truth = GroundTruth.from_specs(parse_scenario(doc).specs)
+    return [truth.faulty(h).get(1, BehaviorKind.CORRECT) for h in range(1, max_height + 2)]
 
 
 def _silent(heights, max_height=20):
@@ -185,10 +199,11 @@ def test_a_huge_horizon_parses_at_once_in_little_memory():
     assert peak < 2**20
     # 10**9 + 1 = 7 * 142857143 is the run's last height
     heights = (1, 2, 7, 14, 10**9, 10**9 + 1, 10**9 + 2, 10**9 + 8)
-    assert [sc.specs[1].behavior_at(h).value for h in heights] == [
+    truth = GroundTruth.from_specs(sc.specs)
+    assert [truth.faulty(h).get(1, BehaviorKind.CORRECT).value for h in heights] == [
         "correct", "equivocate", "correct", "equivocate", "equivocate", "correct", "correct", "correct"
     ]
-    assert [sc.specs[2].behavior_at(h).value for h in heights] == [
+    assert [truth.faulty(h).get(2, BehaviorKind.CORRECT).value for h in heights] == [
         "correct", "correct", "silent", "silent", "correct", "silent", "correct", "correct"
     ]
 
@@ -228,10 +243,11 @@ def test_the_schedule_matches_its_per_height_expansion(data):
     truth = GroundTruth.from_specs(specs)
     for h in range(1, max_height + 2):
         kinds = {pid: expected.get(pid, {}).get(h, BehaviorKind.CORRECT) for pid in range(size)}
-        assert {s.id: s.behavior_at(h) for s in specs} == kinds, h
-        assert truth.faulty(h) == {pid for pid, kind in kinds.items() if kind is not BehaviorKind.CORRECT}, h
+        # each process not correct at h -> its kind: the kinds drive the engine
+        assert truth.faulty(h) == {pid: kind for pid, kind in kinds.items() if kind is not BehaviorKind.CORRECT}, h
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_select_all_refusal_through_the_pool_is_one_json_line(tmp_path, capsys):
     """A select_all committee over the Byzantine bound at height 3 is refused
     by the engine when that height opens, in the calling process and in a
@@ -519,6 +535,7 @@ def test_check_names_a_deleted_chain_once(tmp_path, capsys):
     assert err == "chain-001.jsonl is missing (see fairness-check.json)\n"
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_check_of_a_pooled_traced_run(tmp_path, capsys):
     out = tmp_path / "o"
     args = ["run", "--builtin", "sync-suspicion-equivocator", "--reps", "4", "--jobs", "2", "--trace"]
@@ -725,6 +742,7 @@ def test_height_records_outlive_their_queued_bogus_copies():
 
 
 @pytest.mark.parametrize("jobs, reps", [(2, 3), (3, 5), (5, 5)])
+@pytest.mark.usefixtures("time_limit")
 def test_parallel_jobs_match_serial(tmp_path, jobs, reps):
     # (3, 5) gives uneven shares: replications 0 and 3, 1 and 4, and 2
     sc = parse_scenario(_doc(replications=reps))
@@ -756,6 +774,7 @@ def test_spawned_children_match_serial(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs, reps", [(500, 2), (3, 5), (2, 2), (1, 3)])
+@pytest.mark.usefixtures("time_limit")
 def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, reps):
     """The caller runs one share and min(jobs, reps) - 1 child processes the
     others; each child has exited and been joined when the run returns."""
@@ -795,6 +814,7 @@ _FORKED = pytest.mark.skipif(
 
 @_FORKED
 @pytest.mark.parametrize("failing", [(1, 2), (0, 3)])
+@pytest.mark.usefixtures("time_limit")
 def test_every_jobs_value_reports_the_lowest_failing_replication(tmp_path, monkeypatch, capsys, failing):
     """As a serial run would: with --jobs 2 and {1, 2} failing, the caller's
     share fails at 2 and the child's at 1; with {0, 3}, the other way round."""
@@ -818,6 +838,7 @@ def test_every_jobs_value_reports_the_lowest_failing_replication(tmp_path, monke
 
 
 @_FORKED
+@pytest.mark.usefixtures("time_limit")
 def test_a_child_that_exits_without_sending_is_one_json_line(tmp_path, monkeypatch, capsys):
     run_replication, caller = fairsim.harness.run_replication, os.getpid()
 
@@ -1167,6 +1188,7 @@ def test_a_document_of_only_required_fields_parses_to_the_defaults(model):
         assert (sc.model.gst, sc.model.gst_height) == (0, None)
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_cli_byzantine_committee_in_the_engine_is_one_json_line_with_and_without_the_pool(tmp_path, capsys):
     # round robin puts processes 0-3 on the committee of height 3, where 0 and
     # 1 are silent; a committee smaller than the population is checked by the
