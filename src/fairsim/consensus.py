@@ -195,9 +195,9 @@ class _Height:
         self.evidence = evidence_threshold(len(committee))
         self.parent_link = parent_link
         self.payload = payload_for_height(h, parent_link)
-        self.reward, self.started = None, 0  # reward: set by the first correct proposal; height 1's is {}
+        self.reward = {} if h == 1 else None  # set by h's first correct proposal; height 1 rewards nothing
+        self.started = self.bogus = 0
         self.accused: Set[tuple] = set()  # (accuser, suspect): each pair sends one suspicion
-        self.bogus = 0
 
 
 # deterministic bogus payload offsets for equivocating senders
@@ -293,32 +293,32 @@ class SimulationEngine:
         if slot is not None:
             self._check_progress(pid, h, info, slot, t)
 
-    def _propose(self, pid: ProcessId, h: int, t: SimTime) -> None:
-        # the first correct proposal of a height fixes the rewards its block carries
-        info = self._heights[h]
-        if info.reward is None and len(self.chain) < h:
-            info.reward = self._reward_proposal(pid, h)
-        self._send(pid, info.order, _PROPOSE, h, info.payload, t)
+    def _act(self, pid: ProcessId, kind: MessageKind, h: int, info: _Height, t: SimTime) -> None:
+        """Send pid's proposal or vote (``kind``) for h as its behaviour at h says.
 
-    def _equivocate(self, pid: ProcessId, kind: MessageKind, h: int, t: SimTime) -> None:
-        """Send one bogus payload to the lower half of the other members and
-        another to the upper half."""
-        info = self._heights[h]
-        peers = [q for q in info.order if q != pid]
-        info.bogus += len(peers)
-        half = len(peers) // 2
-        self._send(pid, peers[:half], kind, h, info.payload + _BOGUS_A, t)
-        self._send(pid, peers[half:], kind, h, info.payload + _BOGUS_B, t)
+        A correct process sends the valid payload to the committee, and h's
+        first correct proposal, which comes before block h, fixes the rewards
+        that block carries. An equivocator sends one bogus payload to the lower
+        half of the other members and another to the upper half. A silent or
+        decision-only process sends nothing."""
+        behavior = info.faulty.get(pid, _CORRECT)
+        if behavior is _CORRECT:
+            if kind is _PROPOSE and info.reward is None:
+                info.reward = self._reward_proposal(pid, h)
+            self._send(pid, info.order, kind, h, info.payload, t)
+        elif behavior is _EQUIVOCATE:
+            peers = [q for q in info.order if q != pid]
+            info.bogus += len(peers)
+            half = len(peers) // 2
+            self._send(pid, peers[:half], kind, h, info.payload + _BOGUS_A, t)
+            self._send(pid, peers[half:], kind, h, info.payload + _BOGUS_B, t)
 
     def _reward_proposal(self, pid: ProcessId, h: int) -> Dict[ProcessId, int]:
-        prev = h - 1
-        if prev < 1:
-            return {}
-        # the proposer has collected prev and not yet started h+1
-        slot = self.procs[pid].slots[prev]
+        # the proposer has collected h-1 and not yet started h+1
+        slot = self.procs[pid].slots[h - 1]
         return allocate(
             mech=self.genesis.reward,
-            committee=self._heights[prev].committee,
+            committee=self._heights[h - 1].committee,
             to_reward=slot.collected,
             incorrect=slot.suspicion.confirmed(),
             reward_per_member=self.genesis.reward_per_member,
@@ -330,11 +330,7 @@ class SimulationEngine:
             return
         info = self._heights[h]
         if info.order[r % len(info.order)] == pid:
-            behavior = info.faulty.get(pid, _CORRECT)
-            if behavior is _CORRECT:
-                self._propose(pid, h, t)
-            elif behavior is _EQUIVOCATE:
-                self._equivocate(pid, _PROPOSE, h, t)
+            self._act(pid, _PROPOSE, h, info, t)
         self.queue.push(t + self.config.round_ticks, ("round", pid, h, r + 1))
 
     # -- message handling ---------------------------------------------------
@@ -358,11 +354,7 @@ class SimulationEngine:
         member = pid in info.members
         if member and slot.proposal_seen and not slot.voted:
             slot.voted = True
-            behavior = info.faulty.get(pid, _CORRECT)
-            if behavior is _CORRECT:
-                self._send(pid, info.order, _VOTE, h, info.payload, t)
-            elif behavior is _EQUIVOCATE:
-                self._equivocate(pid, _VOTE, h, t)
+            self._act(pid, _VOTE, h, info, t)
 
         if member and len(slot.votes) >= info.quorum or len(slot.deliveries) >= info.evidence:
             self._decide(pid, h, info, t)

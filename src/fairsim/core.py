@@ -33,14 +33,18 @@ class ScenarioError(ValueError):
 
 
 class BehaviorKind(Enum):
-    """What a process does during one height."""
+    """What a process does during one height. Every kind decides; only a
+    committee member proposes, votes or sends its decision."""
 
+    # proposes and votes the valid payload, sends its decision, and accuses
+    # a sender of a bogus payload (and, under synchrony, a silent member)
     CORRECT = "correct"
-    # sends nothing at all for the height
+    # proposes, votes and sends nothing, and accuses no one
     BYZANTINE_SILENT = "silent"
-    # sends conflicting vote payloads to different peers
+    # proposes and votes one bogus payload to the lower half of the other
+    # members and another to the upper half, sends its decision, accuses no one
     BYZANTINE_EQUIVOCATE = "equivocate"
-    # skips the protocol but sends a plausible final decision message
+    # proposes and votes nothing, sends its decision, and accuses no one
     BYZANTINE_DECISION_ONLY = "decision_only"
 
 

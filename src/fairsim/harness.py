@@ -363,7 +363,9 @@ def _run_share(scenario: Scenario, share: range, record_trace: bool):
     return results
 
 
-def _send_share(doc: dict, share: range, record_trace: bool, conn) -> None:
+def _send_share(doc: dict, share: range, record_trace: bool, conn, reads: list) -> None:
+    for read in reads:  # the read ends a forked child inherits: with them closed, a send to a dead caller fails
+        read.close()
     conn.send(_run_share(parse_scenario(doc), share, record_trace))
 
 
@@ -382,7 +384,8 @@ def run_scenario(
             from multiprocessing import Pipe, Process  # here because a serial run never needs them
             for k in range(1, j):
                 recv, send = Pipe(duplex=False)
-                child = Process(target=_send_share, args=(scenario.raw, range(k, count, j), record_trace, send))
+                reads = [read for _, read in children] + [recv]
+                child = Process(target=_send_share, args=(scenario.raw, range(k, count, j), record_trace, send, reads))
                 child.start()
                 send.close()
                 children.append((child, recv))
@@ -401,7 +404,7 @@ def run_scenario(
         raise min(failures, key=lambda failure: failure[0])[1]
     reps = sorted(itertools.chain.from_iterable(shares), key=lambda rr: rr.index)
 
-    aggregate = compute_aggregate(scenario, reps)
+    aggregate = compute_aggregate(reps)
     out = ScenarioResult(scenario=scenario, replications=reps, aggregate=aggregate)
     if out_dir is not None:
         write_outputs(out, out_dir)
@@ -417,7 +420,7 @@ def _sum_in_order(values) -> float:
     return total
 
 
-def compute_aggregate(scenario: Scenario, reps: Sequence[ReplicationResult]) -> Dict[int, tuple]:
+def compute_aggregate(reps: Sequence[ReplicationResult]) -> Dict[int, tuple]:
     """Per-height mean/std of the reward parameter over committee members.
 
     Two spreads are reported: over every (process, replication) sample and

@@ -197,6 +197,42 @@ def test_never_reward_produces_empty_vectors():
         assert res.matrix.rewarded(h) == set()
 
 
+class _RewardSpy(SimulationEngine):
+    """Records (h, proposer, vector) of each reward allocation a proposal of h makes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.allocated = []
+
+    def _reward_proposal(self, pid, h):
+        reward = super()._reward_proposal(pid, h)
+        self.allocated.append((h, pid, reward))
+        return reward
+
+
+def test_a_heights_first_correct_proposal_fixes_its_rewards():
+    """With a delay longer than a round, later rounds propose again before a
+    height decides. Its block carries what the first correct proposal
+    allocated, and no later proposal allocates again: process 0 leads round 0
+    of every height but equivocates at height 2, so process 1 fixes that one."""
+    engine = _RewardSpy(
+        _specs(4, {0: {2: BehaviorKind.BYZANTINE_EQUIVOCATE}}),
+        _genesis(),
+        Synchronous(delay=150),
+        max_height=3,
+        seed=0,
+        config=EngineConfig(round_ticks=100),
+        record_trace=True,
+    )
+    res = engine.run()
+    for h in (2, 3, 4):
+        proposers = {sender for _, _, sender, _, kind, at in res.trace if kind == "propose" and at == h}
+        assert len(proposers - {0}) > 1, h
+    assert [(h, pid) for h, pid, _ in engine.allocated if h > 1] == [(2, 1), (3, 0), (4, 0)]
+    for h, _, reward in engine.allocated:
+        assert res.chain.block_at(h).reward_vector == reward, h
+
+
 class _PeakSlots(SimulationEngine):
     """Records the most slots one process holds at once (each with its
     height's accusations and collected decisions), and the most height

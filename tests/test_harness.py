@@ -403,8 +403,8 @@ def test_shared_rows_grade_and_render_as_unshared_ones(make):
         assert len(matrix.pairs()) == len(matrix.heights())
         assert grade(sc, shared) == grade(sc, matrix) == rr.report
         reps.append(rr._replace(result=rr.result._replace(matrix=matrix), report=grade(sc, matrix)))
-    fresh = ScenarioResult(sc, reps, compute_aggregate(sc, reps))
-    assert compute_aggregate(sc, result.replications) == fresh.aggregate == result.aggregate
+    fresh = ScenarioResult(sc, reps, compute_aggregate(reps))
+    assert compute_aggregate(result.replications) == fresh.aggregate == result.aggregate
     assert list(render_outputs(result)) == list(render_outputs(fresh))
 
 
@@ -854,6 +854,64 @@ def test_a_child_that_exits_without_sending_is_one_json_line(tmp_path, monkeypat
     assert capsys.readouterr().err.splitlines() == [json.dumps(expected)]
     assert not multiprocessing.active_children()
     assert not (tmp_path / "o").exists()
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# a caller that writes its children's pids to argv[1] and dies as soon as
+# they have started, before it reads what they send
+_DYING_CALLER = """
+import multiprocessing, os, sys
+import fairsim.harness
+from fairsim.cli import main
+caller, run_share = os.getpid(), fairsim.harness._run_share
+
+def dying(scenario, share, record_trace):
+    if os.getpid() != caller:
+        return run_share(scenario, share, record_trace)
+    with open(sys.argv[1], "w") as f:
+        f.write(" ".join(str(child.pid) for child in multiprocessing.active_children()))
+    os._exit(0)
+
+fairsim.harness._run_share = dying
+main(sys.argv[2:])
+"""
+
+
+@_FORKED
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+@pytest.mark.usefixtures("time_limit")
+def test_children_end_when_their_caller_dies(tmp_path):
+    """A child whose results pass the pipe buffer blocks in send until its
+    caller reads them; when the caller dies first, the send fails and the
+    child ends, since no process is left holding the pipe's read end."""
+    sc = parse_scenario(builtin_scenario("goodbad-laggard"))
+    # the child's share, replication 1 of 2 with its trace, is several pipe buffers
+    assert len(pickle.dumps(fairsim.harness._run_share(sc, range(1, 2), True))) > 4 * 65536
+    pids_file = tmp_path / "pids"
+    args = ["run", "--builtin", "goodbad-laggard", "--reps", "2", "--jobs", "2", "--trace"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    # files, not pipes: a child that outlived its caller would keep a pipe open
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        argv = [sys.executable, "-c", _DYING_CALLER, str(pids_file), *args, "--out", str(tmp_path / "o")]
+        subprocess.run(argv, stdout=out, stderr=err, env=env, timeout=30)
+    pids = [int(pid) for pid in pids_file.read_text().split()]
+    assert len(pids) == 1
+    try:
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, 9)
 
 
 # -- command line -----------------------------------------------------------

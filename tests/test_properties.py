@@ -11,8 +11,8 @@ from operator import itemgetter
 from hypothesis import example, given, settings, strategies as st
 
 from fairsim.consensus import SimulationEngine, max_byzantine
-from fairsim.core import RewardMechanismId, SelectionMechanismId, TimeoutPolicy
-from fairsim.fairness import _GRADES
+from fairsim.core import BehaviorKind, RewardMechanismId, SelectionMechanismId, TimeoutPolicy
+from fairsim.fairness import _GRADES, GroundTruth
 from fairsim.harness import regrade_output_dir
 from fairsim.harness import parse_scenario, run_scenario
 from oracles import CollectSpy, PerDeliveryEngine, chain_validate
@@ -85,8 +85,25 @@ def scenarios(draw, laggard=False):
     }
 
 
+# seven processes, committees of four in round-robin order, so most are not
+# sorted: process 0 equivocates its proposals and votes at every height
+_EQUIVOCATOR_ON_UNSORTED_COMMITTEES = {
+    "schema_version": 1,
+    "name": "equivocator-on-unsorted-committees",
+    "population": {"size": 7, "behaviors": [{"process": 0, "kind": "equivocate", "heights": "all"}]},
+    "genesis": {"committee_size": 4, "selection": "round_robin", "reward": "suspicion_quorum",
+                "timeout_policy": "fixed"},
+    "network": {"model": "synchronous", "delay": 1},
+    "max_height": 6,
+    "seed": 0,
+    "replications": 1,
+    "engine": {"delta0": 5, "delta_increment": 5, "round_ticks": 200},
+}
+
+
 @settings(max_examples=30, deadline=None)
 @given(scenarios())
+@example(_EQUIVOCATOR_ON_UNSORTED_COMMITTEES)
 def test_engine_invariants(doc):
     # AgreementViolation and a second write of a reward row both raise here
     with tempfile.TemporaryDirectory() as out:
@@ -118,8 +135,22 @@ def test_engine_invariants(doc):
         files = regrade_output_dir(out)["files"]
         assert sorted(files) == sorted(os.listdir(out))
         assert set(files.values()) == {"matches"}
-    # the same run again, recording what each process collects at every height
+    # each copy for h follows its sender's behaviour at h
     sc = parse_scenario(doc)
+    truth = GroundTruth.from_specs(sc.specs)
+    sends = {}  # (tick, sender, kind, h) of each proposal or vote -> its recipients in the order sent
+    for t, _, sender, rcpt, kind, h in result.replications[0].result.trace:
+        behavior = truth.faulty(h).get(sender)
+        assert behavior is not BehaviorKind.BYZANTINE_SILENT, (sender, kind, h)
+        if kind in ("propose", "vote"):
+            assert behavior is not BehaviorKind.BYZANTINE_DECISION_ONLY, (sender, kind, h)
+            assert rcpt in chain.block_at(h).committee, (sender, rcpt, kind, h)
+            assert not (behavior is BehaviorKind.BYZANTINE_EQUIVOCATE and rcpt == sender), (sender, kind, h)
+            sends.setdefault((t, sender, kind, h), []).append(rcpt)
+    # recipients in ascending order, the order their delays are drawn in
+    for key, recipients in sends.items():
+        assert recipients == sorted(set(recipients)), key
+    # the same run again, recording what each process collects at every height
     spy = CollectSpy(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
     assert spy.run().chain.blocks == chain.blocks
     for pid, collected in spy.collected.items():
