@@ -20,9 +20,10 @@ A GST set by ``gst_height`` follows the handler that decides block
 gst_height - 1.
 
 A process keeps all it knows of height h in one slot (votes, decisions,
-the accusations delivered for h, what its collect ended with) and drops it
-whole when it starts h+2, once ``_on_collect(h)`` and
-``_reward_proposal(h+1)`` have read it; a later copy for h acts only when
+the accusations for h from the first one, made or delivered, what its
+collect ended with) and drops it whole when it starts h+2, once
+``_on_collect(h)`` and ``_reward_proposal(h+1)`` have read it; a height
+with no accusation confirms nobody. A later copy for h acts only when
 its payload is bogus. The engine keeps what it fixes for h (committee,
 payload, the block's rewards) in one record, with the (accuser, suspect)
 pairs accused at h and the number of bogus copies for h still queued. The
@@ -160,13 +161,19 @@ class _Slot:
 
     __slots__ = ("proposal_seen", "voted", "votes", "deliveries", "heard", "suspicion", "collected")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self) -> None:
         self.proposal_seen = self.voted = False  # voted: the vote step ran (a vote, an equivocation or nothing)
         self.votes: Set[ProcessId] = set()
         self.deliveries: Set[ProcessId] = set()  # senders of a valid decision
         self.heard: Set[ProcessId] = set()  # every sender; read only under the synchronous model
-        self.suspicion = SuspicionState(n)  # the accusations delivered for this height
+        self.suspicion = None  # the accusations for this height, made or delivered, from the first one on
         self.collected = None  # the deliveries its collect ended with: the next proposal's to_reward
+
+    def accusations(self, n: int) -> SuspicionState:
+        """This height's accusation state (``n``: committee size), made on its first accusation."""
+        if self.suspicion is None:
+            self.suspicion = SuspicionState(n)
+        return self.suspicion
 
 
 class _Proc:
@@ -320,7 +327,7 @@ class SimulationEngine:
             mech=self.genesis.reward,
             committee=self._heights[h - 1].committee,
             to_reward=slot.collected,
-            incorrect=slot.suspicion.confirmed(),
+            incorrect=frozenset() if slot.suspicion is None else slot.suspicion.confirmed(),
             reward_per_member=self.genesis.reward_per_member,
         )
 
@@ -346,7 +353,7 @@ class SimulationEngine:
         st = self.procs[pid]
         if h >= st.height - 1:
             # a message or a collect for h made the slot
-            st.slots[h].suspicion.accuse(suspect, pid)
+            st.slots[h].accusations(self.n).accuse(suspect, pid)
         others = [q for q in self._everyone if q != pid]
         self._send(pid, others, _SUSPICION, h, suspect, t)
 
@@ -405,7 +412,7 @@ class SimulationEngine:
             for q in info.committee:
                 if q != pid and q not in slot.heard:
                     self._suspect(pid, h, q, t)
-        expected = info.members - slot.suspicion.confirmed()
+        expected = info.members if slot.suspicion is None else info.members - slot.suspicion.confirmed()
         policy, increment = self.genesis.timeout_policy, self.config.delta_increment
         st.delta = update_delta(st.delta, slot.collected, expected, policy, increment)
         self.queue.push(t + 1, ("start", pid, h + 1))
@@ -437,8 +444,7 @@ class SimulationEngine:
                 return self.queue.clock
             kind = event[0]
             if kind == "msg":
-                msg = event[1]
-                h, mkind, payload, sender = msg.height, msg.kind, msg.payload, msg.sender
+                sender, h, mkind, payload, _ = event[1]
                 # height h opened before anyone could send for it, and its
                 # record outlives every process's slot and every bogus copy,
                 # so with no record every copy is late and none is bogus
@@ -455,11 +461,14 @@ class SimulationEngine:
                         continue
                     slot = st.slots.get(h)
                     if slot is None:
-                        slot = st.slots[h] = _Slot(n)
+                        slot = st.slots[h] = _Slot()
                     if sync_omission:
                         slot.heard.add(sender)
                     if mkind is _SUSPICION:
-                        slot.suspicion.accuse(payload, sender)
+                        suspicion = slot.suspicion  # slot.accusations(n), inline
+                        if suspicion is None:
+                            suspicion = slot.suspicion = SuspicionState(n)
+                        suspicion.accuse(payload, sender)
                         continue
                     if bogus:
                         suspect(pid, h, sender, t)

@@ -93,7 +93,8 @@ class RewardMatrix:
 
 
 class SuspicionState:
-    """Accusations delivered to one process for one height: suspect -> accusers."""
+    """Accusations one process made or was delivered for one height, from the
+    first one on (a height without one confirms nobody): suspect -> accusers."""
 
     __slots__ = ("n", "accusers")
 

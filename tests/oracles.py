@@ -87,12 +87,12 @@ class PerDeliveryEngine(SimulationEngine):
             return
         slot = st.slots.get(h)
         if slot is None:
-            slot = st.slots[h] = _Slot(self.n)
+            slot = st.slots[h] = _Slot()
         if self._sync_omission:
             slot.heard.add(msg.sender)
 
         if kind is MessageKind.SUSPICION:
-            slot.suspicion.accuse(msg.payload, msg.sender)
+            slot.accusations(self.n).accuse(msg.payload, msg.sender)
             return
 
         info = self._heights[h]

@@ -4,6 +4,7 @@ import tracemalloc
 
 from hypothesis import given, strategies as st
 
+from fairsim import consensus
 from fairsim.consensus import (
     EngineConfig,
     SimulationEngine,
@@ -21,8 +22,9 @@ from fairsim.core import (
     SelectionMechanismId,
     TimeoutPolicy,
 )
+from fairsim.fairness import GroundTruth
 from fairsim.harness import chain_to_jsonl, parse_scenario
-from fairsim.network import MessageKind, Synchronous
+from fairsim.network import EventQueue, GoodBad, MessageKind, Synchronous
 from fairsim.scenarios import builtin_scenario
 from oracles import CollectSpy, chain_validate
 import pytest
@@ -132,6 +134,38 @@ def test_single_height_decision_only_still_collected():
         assert 3 in engine.collected[pid][1]
 
 
+class _BoundedQueue(EventQueue):
+    """An event queue that fails its pop after ``budget`` events, so a run
+    that never decides fails the test instead of hanging it."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget = budget
+
+    def pop(self):
+        self.budget -= 1
+        assert self.budget >= 0, "the run took more events than its budget"
+        return super().pop()
+
+
+def test_each_delivery_counts_for_its_sender_at_its_height():
+    """Every copy is read by sender, height, kind and payload: a vote or
+    decision counts for its sender at its height, a bogus vote gets its
+    sender accused, and an accusation names its suspect. A delivery that
+    misread these would never reach a quorum, so rounds would repeat
+    without end; the event budget turns that into a failure."""
+    engine = _engine({3: {1: BehaviorKind.BYZANTINE_EQUIVOCATE}}, max_height=1, delta=5)
+    engine.queue = _BoundedQueue(1_000)
+    assert len(engine.run().chain) == 2
+    for pid in range(4):
+        slot = engine.procs[pid].slots[1]
+        assert slot.suspicion.accusers == {3: {0, 1, 2}}
+        if pid != 3:
+            assert slot.votes == {0, 1, 2} and slot.deliveries == {0, 1, 2, 3}
+
+
 def test_multi_height_chain_is_valid_and_complete():
     res = _run(max_height=10)
     assert len(res.chain) == 11
@@ -147,6 +181,28 @@ def test_equivocator_confirmed_and_unrewarded():
     for h in res.matrix.heights():
         expected = {0, 2, 3} if h % 2 == 0 else {0, 1, 2, 3}
         assert res.matrix.rewarded(h) == expected
+
+
+def test_modulable_window_does_not_wait_for_a_confirmed_suspect():
+    """The modulable policy grows delta when a collect misses an expected
+    member, and a confirmed suspect is not expected. Process 0 leads round 0
+    of every height and equivocates; its copies lag 50 ticks, so its bogus
+    proposal is confirmed before round 1 decides, and its decision lands
+    after every collect."""
+    model = GoodBad(good_len=10**6, bad_len=1, good_delay_bound=0, bad_delay_range=(0, 0), laggards={0: 50})
+    engine = CollectSpy(
+        _specs(4, {0: {h: BehaviorKind.BYZANTINE_EQUIVOCATE for h in range(1, 8)}}),
+        _genesis(policy=TimeoutPolicy.MODULABLE),
+        model,
+        max_height=6,
+        seed=0,
+        config=EngineConfig(delta0=10, delta_increment=10, round_ticks=100),
+    )
+    res = engine.run()
+    for pid in (1, 2, 3):
+        assert all(engine.collected[pid][h] == {1, 2, 3} for h in range(1, 7))
+        assert engine.procs[pid].delta == 10
+    assert all(res.matrix.rewarded(h) == {1, 2, 3} for h in range(1, 7))
 
 
 def test_silent_member_detected_under_synchrony():
@@ -275,6 +331,46 @@ def test_live_slots_do_not_grow_with_the_run():
         assert 1 not in engine._heights
     assert peaks[0] == peaks[1]
     assert 0 < peaks[0][0] <= 3 and 0 < peaks[0][1] <= 4
+
+
+class _AccusationSpy(SimulationEngine):
+    """Records the heights at which a process's collect finds accusation state in its slot."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.accused_heights = set()
+
+    def _on_collect(self, pid, h, t):
+        super()._on_collect(pid, h, t)
+        if self.procs[pid].slots[h].suspicion is not None:
+            self.accused_heights.add(h)
+
+
+@pytest.mark.parametrize("name", ["evsync-tendermint-fixed", "sync-suspicion-equivocator"])
+def test_accusation_state_exists_only_where_an_accusation_lands(monkeypatch, name):
+    """A (process, height) gets a SuspicionState from its first accusation
+    for h, so a fault-free run makes none, and an equivocator's run makes
+    them at each height it equivocates and at no other."""
+    made = []
+
+    class Counted(consensus.SuspicionState):
+        __slots__ = ()
+
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(consensus, "SuspicionState", Counted)
+    sc = parse_scenario(builtin_scenario(name))
+    engine = _AccusationSpy(sc.specs, sc.genesis, sc.model, sc.max_height, sc.seed, sc.engine)
+    assert len(engine.run().chain) == sc.max_height + 1
+    truth = GroundTruth.from_specs(sc.specs)
+    equivocating = {h for h in range(1, sc.max_height + 1) if truth.faulty(h)}
+    assert engine.accused_heights == equivocating
+    assert all(state.accusers for state in made)
+    # every process, the accused equivocator too, at each equivocating height
+    assert len(made) == sc.genesis.population * len(equivocating)
+    assert bool(made) == (name == "sync-suspicion-equivocator")
 
 
 def _retained_bytes(doc: dict, max_height: int) -> int:
