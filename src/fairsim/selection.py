@@ -7,11 +7,14 @@ key per process, ``stake*N + pid`` (lowest stake), ``-stake*N + pid``
 (highest stake) or ``count*N + pid`` (fewest selections), so ascending keys
 break ties to the lower pid. It re-sorts its last ranking in place: only
 the processes credited since have moved, so the sort merges about two runs.
+A selection-only run tallies its heights until its committees repeat,
+which every mechanism finds by one rule, then adds the whole periods that
+fit, so it costs about one period whatever the number of heights.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_STAKE, Block, ProcessId, SelectionMechanismId
 from .fairness import InsufficientTrace
@@ -56,39 +59,6 @@ class SelectionStats(NamedTuple):
     counts: Dict[ProcessId, int]
     total_heights: int
     max_gap: Dict[ProcessId, int]  # longest stretch of heights without a selection
-
-
-class SelectionTally:
-    """Incremental builder for SelectionStats."""
-
-    def __init__(self, population: int) -> None:
-        self.population = population
-        self.counts = [0] * population
-        self._last_selected = [0] * population  # height of most recent selection
-        self._max_gap = [0] * population
-        self.heights = 0
-
-    def record(self, height: int, committee: Sequence[ProcessId]) -> None:
-        self.heights = max(self.heights, height)
-        counts, last_selected, max_gap = self.counts, self._last_selected, self._max_gap
-        before = height - 1
-        for pid in committee:
-            counts[pid] += 1
-            gap = before - last_selected[pid]
-            if gap > max_gap[pid]:
-                max_gap[pid] = gap
-            last_selected[pid] = height
-
-    def stats(self) -> SelectionStats:
-        max_gap = {}
-        for pid in range(self.population):
-            tail = self.heights - self._last_selected[pid]
-            max_gap[pid] = max(self._max_gap[pid], tail)
-        return SelectionStats(
-            counts={pid: self.counts[pid] for pid in range(self.population)},
-            total_heights=self.heights,
-            max_gap=max_gap,
-        )
 
 
 class SelectionFairnessVerdict(NamedTuple):
@@ -167,12 +137,14 @@ def _committees(
     rank = state.rank
     # each member is credited one selection and ``reward_per_member`` stake
     credit = state.per_selection + reward_per_member * state.per_stake
-    # A ranked committee depends on the keys alone, and keys that differ by a
-    # common shift give the same committees from then on: Brent's method looks
-    # for that against the keys saved at heights 1, 2, 4, ... With a credit of
-    # at most 0 no member falls behind a non-member: period 1 from height 1.
-    looking = bool(state.per_stake or state.per_selection)
-    saved_at, saved, saved_keys = 0, None, None
+    # Every mechanism finds its period by one rule. A ranked committee depends
+    # on the keys alone, and keys that differ by a common shift give the same
+    # committees from then on; round robin and select all keep their keys,
+    # and a rotation that repeats a committee repeats every one after it.
+    # Brent's method looks for a repeat against the committee and keys saved
+    # at heights 1, 2, 4, ... With a negative credit no member falls behind a
+    # non-member: period 1 from height 1.
+    looking, saved_at, saved, saved_keys = True, 0, None, None
     h = 1
     while h <= heights:
         committee = state.committee(h)
@@ -180,7 +152,7 @@ def _committees(
             rank[pid] += credit
         period = 0
         if looking:
-            if credit <= 0 or (committee == saved and len({a - b for a, b in zip(rank, saved_keys)}) == 1):
+            if credit < 0 or (committee == saved and len({a - b for a, b in zip(rank, saved_keys)}) == 1):
                 period = h - saved_at
             elif h & (h - 1) == 0:
                 saved_at, saved, saved_keys = h, committee, rank[:]
@@ -202,16 +174,21 @@ def run_selection_experiment(
     height h sees the stakes implied by heights 1..h-1. Once the committees
     repeat, it tallies one more period, then the whole periods that fit.
     """
-    tally = SelectionTally(population)
-    counts, last_selected = tally.counts, tally._last_selected
+    counts, last_selected, max_gap = [0] * population, [0] * population, [0] * population
     run = _committees(population, n, mech, heights, initial_stakes, reward_per_member)
     skip, end = None, 0
     while True:
         try:
             h, committee, found = run.send(skip)
         except StopIteration:
-            return tally.stats()
-        tally.record(h, committee)
+            break
+        before = h - 1
+        for pid in committee:
+            counts[pid] += 1
+            gap = before - last_selected[pid]
+            if gap > max_gap[pid]:
+                max_gap[pid] = gap
+            last_selected[pid] = h
         skip = None
         if found:
             # tally one more period first, for the gaps that span two periods
@@ -219,12 +196,17 @@ def run_selection_experiment(
         elif h == end:
             # each whole period that fits repeats the last one, gaps included
             times = (heights - h) // period
-            for pid, before in enumerate(since):
-                if counts[pid] > before:
-                    counts[pid] += times * (counts[pid] - before)
+            for pid, was in enumerate(since):
+                if counts[pid] > was:
+                    counts[pid] += times * (counts[pid] - was)
                     last_selected[pid] += times * period
             skip = times * period
-            tally.heights += skip
+    heights = max(heights, 0)
+    return SelectionStats(
+        counts=dict(enumerate(counts)),
+        total_heights=heights,
+        max_gap={pid: max(max_gap[pid], heights - last) for pid, last in enumerate(last_selected)},
+    )
 
 
 def selection_committees(

@@ -4,7 +4,8 @@ No program path needs them: the engine builds each committee incrementally
 and derives every parent link as it appends, ``fairsim check`` derives the
 links of a stored chain the same way, fairness.json is rendered from
 templates, a behaviour schedule is kept as the rules its scenario states,
-and a selection-only run tallies whole periods once its committees repeat.
+and a selection-only run tallies whole periods once its committees repeat,
+where ``selection_stats`` simulates and tallies each height itself.
 ``CollectSpy`` keeps what the engine itself drops two heights later.
 ``PerDeliveryEngine`` delivers each copy through a handler of its own and
 checks for the last block after every copy, where the engine checks only
@@ -17,7 +18,7 @@ from fairsim.consensus import SimulationEngine, _Slot
 from fairsim.core import GENESIS_HASH, BehaviorKind, Blockchain, ProcessId, SelectionMechanismId, simulated_hash
 from fairsim.network import ExhaustedQueue, MessageKind
 from fairsim.fairness import FairnessReport
-from fairsim.selection import SelectionState, SelectionStats, SelectionTally
+from fairsim.selection import SelectionState, SelectionStats
 
 
 def select(bc: Blockchain, height: int, mech: SelectionMechanismId) -> List[ProcessId]:
@@ -38,18 +39,26 @@ def selection_stats(
     initial_stakes: Optional[Dict[ProcessId, int]] = None,
     reward_per_member: int = 1,
 ) -> SelectionStats:
-    """``run_selection_experiment`` simulated and tallied height by height."""
+    """``run_selection_experiment`` simulated height by height, with each
+    process's longest gap read off the list of heights that selected it."""
     if initial_stakes is None:
         initial_stakes = {pid: 100 for pid in range(population)}
     state = SelectionState(population, n, mech, initial_stakes)
     credit = state.per_selection + reward_per_member * state.per_stake
-    tally = SelectionTally(population)
+    selected_at: Dict[ProcessId, List[int]] = {pid: [] for pid in range(population)}
     for h in range(1, heights + 1):
         committee = state.committee(h)
         for pid in committee:
             state.rank[pid] += credit
-        tally.record(h, committee)
-    return tally.stats()
+            selected_at[pid].append(h)
+    total = max(heights, 0)
+    # the heights between two selections, before the first and after the last
+    gaps = {pid: [b - a - 1 for a, b in zip([0] + at, at + [total + 1])] for pid, at in selected_at.items()}
+    return SelectionStats(
+        counts={pid: len(at) for pid, at in selected_at.items()},
+        total_heights=total,
+        max_gap={pid: max(g) for pid, g in gaps.items()},
+    )
 
 
 class CollectSpy(SimulationEngine):

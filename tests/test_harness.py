@@ -1,5 +1,4 @@
 import csv
-import faulthandler
 import hashlib
 import json
 import multiprocessing
@@ -40,19 +39,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # a JSON document nested 100,000 deep
 _DEEP_JSON = "[" * 100000 + "]" * 100000
-
-
-@pytest.fixture
-def time_limit(capsys):
-    """Give a test that starts --jobs children 60 s, then end the whole run
-    with exit code 1 and every thread's stack on the terminal: a deadlocked
-    fan-out then fails the suite instead of hanging it."""
-    with capsys.disabled():
-        stderr = os.dup(2)  # the terminal, not the capture
-    faulthandler.dump_traceback_later(60, exit=True, file=stderr)
-    yield
-    faulthandler.cancel_dump_traceback_later()
-    os.close(stderr)
 
 
 def _doc(**overrides):
@@ -247,7 +233,6 @@ def test_the_schedule_matches_its_per_height_expansion(data):
         assert truth.faulty(h) == {pid: kind for pid, kind in kinds.items() if kind is not BehaviorKind.CORRECT}, h
 
 
-@pytest.mark.usefixtures("time_limit")
 def test_select_all_refusal_through_the_pool_is_one_json_line(tmp_path, capsys):
     """A select_all committee over the Byzantine bound at height 3 is refused
     by the engine when that height opens, in the calling process and in a
@@ -535,7 +520,6 @@ def test_check_names_a_deleted_chain_once(tmp_path, capsys):
     assert err == "chain-001.jsonl is missing (see fairness-check.json)\n"
 
 
-@pytest.mark.usefixtures("time_limit")
 def test_check_of_a_pooled_traced_run(tmp_path, capsys):
     out = tmp_path / "o"
     args = ["run", "--builtin", "sync-suspicion-equivocator", "--reps", "4", "--jobs", "2", "--trace"]
@@ -742,7 +726,6 @@ def test_height_records_outlive_their_queued_bogus_copies():
 
 
 @pytest.mark.parametrize("jobs, reps", [(2, 3), (3, 5), (5, 5)])
-@pytest.mark.usefixtures("time_limit")
 def test_parallel_jobs_match_serial(tmp_path, jobs, reps):
     # (3, 5) gives uneven shares: replications 0 and 3, 1 and 4, and 2
     sc = parse_scenario(_doc(replications=reps))
@@ -774,7 +757,6 @@ def test_spawned_children_match_serial(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs, reps", [(500, 2), (3, 5), (2, 2), (1, 3)])
-@pytest.mark.usefixtures("time_limit")
 def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, reps):
     """The caller runs one share and min(jobs, reps) - 1 child processes the
     others; each child has exited and been joined when the run returns."""
@@ -814,7 +796,6 @@ _FORKED = pytest.mark.skipif(
 
 @_FORKED
 @pytest.mark.parametrize("failing", [(1, 2), (0, 3)])
-@pytest.mark.usefixtures("time_limit")
 def test_every_jobs_value_reports_the_lowest_failing_replication(tmp_path, monkeypatch, capsys, failing):
     """As a serial run would: with --jobs 2 and {1, 2} failing, the caller's
     share fails at 2 and the child's at 1; with {0, 3}, the other way round."""
@@ -838,7 +819,6 @@ def test_every_jobs_value_reports_the_lowest_failing_replication(tmp_path, monke
 
 
 @_FORKED
-@pytest.mark.usefixtures("time_limit")
 def test_a_child_that_exits_without_sending_is_one_json_line(tmp_path, monkeypatch, capsys):
     run_replication, caller = fairsim.harness.run_replication, os.getpid()
 
@@ -887,7 +867,6 @@ main(sys.argv[2:])
 
 @_FORKED
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
-@pytest.mark.usefixtures("time_limit")
 def test_children_end_when_their_caller_dies(tmp_path):
     """A child whose results pass the pipe buffer blocks in send until its
     caller reads them; when the caller dies first, the send fails and the
@@ -1246,7 +1225,6 @@ def test_a_document_of_only_required_fields_parses_to_the_defaults(model):
         assert (sc.model.gst, sc.model.gst_height) == (0, None)
 
 
-@pytest.mark.usefixtures("time_limit")
 def test_cli_byzantine_committee_in_the_engine_is_one_json_line_with_and_without_the_pool(tmp_path, capsys):
     # round robin puts processes 0-3 on the committee of height 3, where 0 and
     # 1 are silent; a committee smaller than the population is checked by the

@@ -19,7 +19,7 @@ from fairsim.core import (
 from fairsim.selection import (
     InsufficientTrace,
     SelectionState,
-    SelectionTally,
+    SelectionStats,
     check_selection_fairness,
     run_selection_experiment,
     selection_committees,
@@ -197,16 +197,21 @@ def test_kept_ranking_matches_from_scratch_reference(run):
 
 
 def test_tally_max_gap_counts_tail():
-    tally = SelectionTally(3)
-    tally.record(1, [0, 1])
-    tally.record(2, [0, 2])
-    tally.record(3, [0, 1])
-    tally.record(4, [0, 1])
-    stats = tally.stats()
-    assert stats.counts == {0: 4, 1: 3, 2: 1}
-    assert stats.max_gap[0] == 0
-    assert stats.max_gap[1] == 1
-    assert stats.max_gap[2] == 2  # never selected after height 2
+    # round robin over 5 with committees of 2: [0, 1], [2, 3], [4, 0], [1, 2]
+    stats = run_selection_experiment(5, 2, S.ROUND_ROBIN, 4)
+    assert stats.total_heights == 4
+    assert stats.counts == {0: 2, 1: 2, 2: 2, 3: 1, 4: 1}
+    # 1 is unselected at heights 2-3, 4 at heights 1-2, and 3 at heights 3-4,
+    # after its last selection
+    assert stats.max_gap == {0: 1, 1: 2, 2: 1, 3: 2, 4: 2}
+
+
+@pytest.mark.parametrize("heights", [0, -5])
+def test_selection_experiment_of_no_heights(heights):
+    nothing = SelectionStats(counts={0: 0, 1: 0, 2: 0}, total_heights=0, max_gap={0: 0, 1: 0, 2: 0})
+    for mech in S:
+        assert run_selection_experiment(3, 2, mech, heights) == nothing, mech
+        assert selection_stats(3, 2, mech, heights) == nothing, mech
 
 
 def test_fairness_checker_on_rotation():
@@ -217,30 +222,28 @@ def test_fairness_checker_on_rotation():
 
 
 def test_fairness_checker_flags_starvation():
-    tally = SelectionTally(3)
-    for h in range(1, 101):
-        tally.record(h, [0, 1])
+    # committees of 0 and 1 at each of 100 heights, the highest stakes kept
+    stats = selection_stats(3, 2, S.HIGHEST_STAKE, 100)
+    assert stats == SelectionStats({0: 100, 1: 100, 2: 0}, 100, {0: 0, 1: 0, 2: 100})
     merits = {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
-    verdict = check_selection_fairness(tally.stats(), merits, window=10)
+    verdict = check_selection_fairness(stats, merits, window=10)
     assert not verdict.condition1_ok
     assert verdict.condition1_witnesses == [2]
 
 
 def test_fairness_checker_flags_merit_inversion():
-    tally = SelectionTally(2)
-    for h in range(1, 51):
-        tally.record(h, [1])
+    # process 1 is the committee of each of 50 heights
+    stats = SelectionStats(counts={0: 0, 1: 50}, total_heights=50, max_gap={0: 50, 1: 0})
     merits = {0: Fraction(2, 3), 1: Fraction(1, 3)}
-    verdict = check_selection_fairness(tally.stats(), merits, window=50, slack=1)
+    verdict = check_selection_fairness(stats, merits, window=50, slack=1)
     assert not verdict.condition2_ok
     assert (0, 1) in verdict.condition2_witnesses
 
 
 def test_fairness_checker_needs_enough_trace():
-    tally = SelectionTally(2)
-    tally.record(1, [0])
+    stats = SelectionStats(counts={0: 1, 1: 0}, total_heights=1, max_gap={0: 0, 1: 1})
     with pytest.raises(InsufficientTrace):
-        check_selection_fairness(tally.stats(), {0: Fraction(1)}, window=10)
+        check_selection_fairness(stats, {0: Fraction(1)}, window=10)
 
 
 def test_lowest_stake_uniform_matches_round_robin_small():
@@ -283,18 +286,19 @@ def test_selection_experiment_matches_the_per_height_tally(run):
 
 
 def test_a_billion_heights_cost_one_period():
-    ranked = (S.HIGHEST_STAKE, S.LOWEST_STAKE, S.FEWEST_SELECTIONS)
     start = time.perf_counter()
-    runs = {mech: run_selection_experiment(170, 50, mech, 10**9) for mech in ranked}
+    runs = {mech: run_selection_experiment(170, 50, mech, 10**9) for mech in S}
     assert time.perf_counter() - start < 1
     for mech, stats in runs.items():
-        assert stats.total_heights == 10**9
-        assert sum(stats.counts.values()) == 50 * 10**9, mech
-    for mech in (S.LOWEST_STAKE, S.FEWEST_SELECTIONS):
+        size = 170 if mech is S.SELECT_ALL else 50
+        assert stats.total_heights == 10**9, mech
+        assert sum(stats.counts.values()) == size * 10**9, mech
+    for mech in (S.LOWEST_STAKE, S.FEWEST_SELECTIONS, S.ROUND_ROBIN):
         assert max(runs[mech].counts.values()) - min(runs[mech].counts.values()) <= 1, mech
     top = runs[S.HIGHEST_STAKE]
     assert [top.counts[pid] for pid in range(170)] == [10**9] * 50 + [0] * 120
     assert [top.max_gap[pid] for pid in range(50, 170)] == [10**9] * 120
+    assert runs[S.SELECT_ALL].max_gap == dict.fromkeys(range(170), 0)
 
 
 def test_selection_experiment_matches_the_per_height_tally_at_criterion_5():
