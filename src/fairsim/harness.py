@@ -471,6 +471,9 @@ def _flags_and_mean(committee: Sequence[ProcessId], vector: Dict[ProcessId, int]
 # number (or per triple). Per height stay only the chain's line, the
 # "rep,h," prefix of rewards.csv, aggregate.csv's height and fairness.json's
 # key; grading reads the faulty set of each height (``build_report``).
+# selection.csv's rows are made once per distinct value: a count's
+# ",count,v_i," once per count, a merit's alpha_i once per merit object (keyed
+# by identity), so a row adds only its process id (``selection_csv``).
 
 # chain and trace names take the replication index; _CHECK is the summary fairsim check writes
 _ECHO, _CHAIN, _TRACE, _CHECK = "scenario-echo.json", "chain-{:03d}.jsonl", "trace-{:03d}.jsonl", "fairness-check.json"
@@ -550,15 +553,34 @@ def _rewards_csv(reps: Sequence[ReplicationResult]) -> str:
 
 
 def selection_csv(counts: Dict[ProcessId, int], total_heights: int, merits: Dict[ProcessId, Fraction]) -> str:
-    """selection.csv: per-process selection count, frequency v_i and merit alpha_i."""
+    """selection.csv: per-process selection count, frequency v_i and merit alpha_i.
+
+    Each distinct count's ",count,v_i," text and each distinct merit's
+    alpha_i text is made once per call; a row joins its process id to them.
+    Merit texts are keyed by the merit object's identity, which names one
+    object while ``merits`` keeps them all alive: uniform merits are one
+    shared Fraction, and distinct objects of equal value each make their own
+    (equal) text.
+    """
     out = ["process_id,count,v_i,alpha_i\r\n"]
+    count_texts: Dict[int, str] = {}  # count -> ",count,v_i,"
+    alpha_texts: Dict[int, str] = {}  # id(merit) -> "alpha_i\r\n"
     for pid, count in sorted(counts.items()):
-        out.append(f"{pid},{count},{count / total_heights!r},{float(merits[pid])!r}\r\n")
+        count_text = count_texts.get(count)
+        if count_text is None:
+            count_text = count_texts[count] = f",{count},{count / total_heights!r},"
+        merit = merits[pid]
+        alpha_text = alpha_texts.get(id(merit))
+        if alpha_text is None:
+            alpha_text = alpha_texts[id(merit)] = f"{float(merit)!r}\r\n"
+        out.append(f"{pid}{count_text}{alpha_text}")
     return "".join(out)
 
 
 def _selection_counts(matrix: RewardMatrix, population: int) -> Tuple[Dict[ProcessId, int], int]:
-    """How many of ``matrix``'s heights select each process, and the last height."""
+    """How many of ``matrix``'s heights select each process, and the last
+    height. ``render_outputs`` passes replication 0's matrix, so selection.csv
+    tallies replication 0's committees."""
     numbers = matrix.numbers()
     times = [0] * len(matrix.pairs())  # heights per number
     for _, number in numbers:

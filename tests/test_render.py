@@ -149,11 +149,24 @@ def test_aggregate_csv_is_csv_writer(aggregate):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 5000), min_size=1, max_size=40), st.integers(1, 5000))
-def test_selection_csv_is_csv_writer(counts, total):
+@given(
+    st.lists(st.integers(0, 5000), min_size=1, max_size=40) | st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    st.integers(1, 5000),
+    st.sampled_from(["shared", "equal", "distinct"]),
+)
+def test_selection_csv_is_csv_writer(counts, total, merit_kind):
+    """Counts from a narrow range repeat, and merits are one shared Fraction
+    (as ``uniform_merits`` makes), distinct objects of equal value, or
+    distinct values: each row still gets its own count's and merit's text."""
     from fractions import Fraction
 
-    merits = {pid: Fraction(pid + 1, 7 * len(counts)) for pid in range(len(counts))}
+    shared = Fraction(1, len(counts))
+    merit_of = {
+        "shared": lambda pid: shared,
+        "equal": lambda pid: Fraction(1, len(counts)),
+        "distinct": lambda pid: Fraction(pid + 1, 7 * len(counts)),
+    }[merit_kind]
+    merits = {pid: merit_of(pid) for pid in range(len(counts))}
     rows = [["process_id", "count", "v_i", "alpha_i"]]
     rows += [[pid, c, repr(c / total), repr(float(merits[pid]))] for pid, c in enumerate(counts)]
     assert selection_csv(dict(enumerate(counts)), total, merits) == _csv(rows)
